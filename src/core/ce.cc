@@ -443,6 +443,10 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   for (ObjectState& s : state) s.dist.assign(n, kInfDist);
 
   std::vector<DistVector> skyline_vectors;  // with attributes appended
+  // Ids of candidates that may still be undetermined, in admission order.
+  // Each prune pass compacts away the determined ones, so its cost follows
+  // the open candidates rather than the object count.
+  std::vector<ObjectId> open;
   std::size_t candidates_open = 0;
   bool filtering = true;
   // Distance vector of the first skyline point (the object that ended the
@@ -485,16 +489,26 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     skyline_vectors.push_back(vec);
 
     // Prune candidates that the new skyline point provably dominates.
-    for (ObjectId c = 0; c < m; ++c) {
+    std::size_t kept = 0;
+    for (const ObjectId c : open) {
       ObjectState& cand = state[c];
-      if (!cand.candidate || cand.determined) continue;
+      if (cand.determined) continue;
       if (ProvablyDominates(vec, cand, dataset.StaticAttributesOf(c), n)) {
         cand.determined = true;
         --candidates_open;
         // Pruned on partial distances + emission-order lower bounds.
         CountBoundPruned();
+        continue;
       }
+      open[kept++] = c;
     }
+    open.resize(kept);
+  };
+
+  auto admit = [&](ObjectId id) {
+    state[id].candidate = true;
+    open.push_back(id);
+    ++candidates_open;
   };
 
   // Round-robin expansion over the query points. The filtering phase span
@@ -539,8 +553,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     if (filtering) {
       // Every object encountered during filtering becomes a candidate.
       if (!obj.candidate) {
-        obj.candidate = true;
-        ++candidates_open;
+        admit(visit->object);
         ++result.stats.candidate_count;
       }
     } else if (!obj.candidate) {
@@ -560,8 +573,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
       // Already discarded through another stream: the strict-dominance
       // proof stands, an exact tie elsewhere cannot undo it.
       if (obj.determined) continue;
-      obj.candidate = true;
-      ++candidates_open;
+      admit(visit->object);
     } else if (obj.determined) {
       continue;
     }

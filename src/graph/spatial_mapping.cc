@@ -1,6 +1,7 @@
 #include "graph/spatial_mapping.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.h"
 
@@ -65,25 +66,26 @@ SpatialMapping::SpatialMapping(const RoadNetwork* network,
 
 Status SpatialMapping::ObjectsOnEdge(EdgeId edge,
                                      std::vector<EdgeObject>* out) const {
-  std::vector<BpTree::Item> items;
-  if (Status status =
-          index_.ScanRange(MakeKey(edge, 0), MakeKey(edge, 0xffffffffu),
-                           &items);
-      !status.ok()) {
-    return status;
-  }
-  for (const BpTree::Item& item : items) {
-    const auto record = item.second.Unpack<PackedEdgeObject>();
-    if (record.object >= locations_.size()) {
-      out->clear();
-      return Status::Corruption("middle-layer record on edge " +
+  std::optional<ObjectId> unknown;
+  Status status = index_.VisitRange(
+      MakeKey(edge, 0), MakeKey(edge, 0xffffffffu),
+      [&](BpTree::Key, const BpTreeValue& value) {
+        const auto record = value.Unpack<PackedEdgeObject>();
+        if (record.object >= locations_.size()) {
+          if (!unknown.has_value()) unknown = record.object;
+          return;
+        }
+        out->push_back(
+            EdgeObject{record.object, record.dist_u, record.dist_v});
+      });
+  if (status.ok() && unknown.has_value()) {
+    status = Status::Corruption("middle-layer record on edge " +
                                 std::to_string(edge) +
                                 " references unknown object " +
-                                std::to_string(record.object));
-    }
-    out->push_back(EdgeObject{record.object, record.dist_u, record.dist_v});
+                                std::to_string(*unknown));
   }
-  return Status();
+  if (!status.ok()) out->clear();
+  return status;
 }
 
 bool SpatialMapping::IsLive(ObjectId id) const {

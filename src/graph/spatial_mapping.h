@@ -34,10 +34,11 @@ class SpatialMapping {
   SpatialMapping(const RoadNetwork* network, BufferManager* buffer,
                  const std::vector<Location>& objects);
 
-  // Appends all objects resident on `edge` (B+-tree range probe; the probe
-  // I/O is counted by the buffer manager). Fails with the underlying read
-  // error, or kCorruption when a stored record references an unknown
-  // object. `*out` is cleared on failure.
+  // Appends all objects resident on `edge` (B+-tree range probe read in
+  // place; the probe I/O is counted by the buffer manager). Fails with the
+  // underlying read error, or kCorruption for a structurally invalid node or
+  // a stored record that references an unknown object. `*out` is cleared on
+  // failure.
   Status ObjectsOnEdge(EdgeId edge, std::vector<EdgeObject>* out) const;
 
   // Total ids ever allocated, including tombstones — per-object arrays in

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <ranges>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -9,10 +11,54 @@ namespace msq {
 namespace {
 
 // Node header: 1-byte leaf flag + 4-byte count; leaves add a 4-byte next
-// pointer.
+// pointer. Leaves then hold `count` (key, value) items; internal nodes hold
+// `count` keys followed by `count + 1` child page ids.
 constexpr std::size_t kHeaderBytes = 1 + 4;
 constexpr std::size_t kLeafHeaderBytes = kHeaderBytes + 4;
 constexpr std::size_t kLeafItemBytes = sizeof(std::uint64_t) + 24;
+
+// In-place field reads of a pinned node page, matching the layout
+// WriteLeaf/WriteInternal produce. Callers check the count against the
+// node capacity (PinLeaf/PinInternal) before indexing.
+template <typename T>
+T LoadAt(const Page& page, std::size_t offset) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value;
+  std::memcpy(&value, page.data.data() + offset, sizeof(T));
+  return value;
+}
+
+bool IsLeaf(const Page& page) { return LoadAt<std::uint8_t>(page, 0) != 0; }
+std::uint32_t NodeCount(const Page& page) {
+  return LoadAt<std::uint32_t>(page, 1);
+}
+PageId NextLeaf(const Page& page) {
+  return LoadAt<std::uint32_t>(page, kHeaderBytes);
+}
+BpTree::Key LeafKey(const Page& page, std::size_t i) {
+  return LoadAt<BpTree::Key>(page, kLeafHeaderBytes + i * kLeafItemBytes);
+}
+BpTreeValue LeafValue(const Page& page, std::size_t i) {
+  return LoadAt<BpTreeValue>(
+      page, kLeafHeaderBytes + i * kLeafItemBytes + sizeof(BpTree::Key));
+}
+BpTree::Key InternalKey(const Page& page, std::size_t i) {
+  return LoadAt<BpTree::Key>(page, kHeaderBytes + i * sizeof(BpTree::Key));
+}
+PageId InternalChild(const Page& page, std::uint32_t count, std::size_t i) {
+  return LoadAt<std::uint32_t>(
+      page, kHeaderBytes + count * sizeof(BpTree::Key) + i * sizeof(PageId));
+}
+
+// First slot in [0, count) whose key is >= `key` (count if none).
+template <typename KeyAt>
+std::size_t LowerBound(std::uint32_t count, BpTree::Key key, KeyAt key_at) {
+  const auto slots = std::views::iota(std::size_t{0}, std::size_t{count});
+  return static_cast<std::size_t>(
+      std::ranges::partition_point(
+          slots, [&](std::size_t i) { return key_at(i) < key; }) -
+      slots.begin());
+}
 
 }  // namespace
 
@@ -30,62 +76,63 @@ BpTree::BpTree(BufferManager* buffer) : buffer_(buffer) {
   root_ = NewLeaf(LeafNode{});
 }
 
-bool BpTree::IsLeafPage(PageId page) const {
+PageGuard BpTree::PinLeaf(PageId page) const {
   PageGuard guard = ValueOrThrow(buffer_->Fetch(page));
-  PageReader reader(guard.page());
-  return reader.Read<std::uint8_t>() != 0;
-}
-
-// Read/Write helpers hold the page pin only while (de)serializing — the
-// node structs are copies, never views into the pool.
-BpTree::LeafNode BpTree::ReadLeaf(PageId page) const {
-  PageGuard guard = ValueOrThrow(buffer_->Fetch(page));
-  PageReader reader(guard.page());
-  const bool is_leaf = reader.Read<std::uint8_t>() != 0;
   // Node flags and counts come from storage, so treat violations as
   // corruption rather than programmer error.
-  if (!is_leaf) {
+  if (!IsLeaf(*guard)) {
     throw StorageFault(Status::Corruption(
         "b+-tree page " + std::to_string(page) + " is not a leaf"));
   }
-  const std::uint32_t count = reader.Read<std::uint32_t>();
+  const std::uint32_t count = NodeCount(*guard);
   if (count > LeafCapacity()) {
     throw StorageFault(Status::Corruption(
         "b+-tree leaf at page " + std::to_string(page) + " declares " +
         std::to_string(count) + " items"));
   }
-  LeafNode node;
-  node.next_leaf = reader.Read<std::uint32_t>();
-  node.items.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    node.items[i].first = reader.Read<std::uint64_t>();
-    node.items[i].second = reader.Read<BpTreeValue>();
-  }
-  return node;
+  return guard;
 }
 
-BpTree::InternalNode BpTree::ReadInternal(PageId page) const {
+PageGuard BpTree::PinInternal(PageId page) const {
   PageGuard guard = ValueOrThrow(buffer_->Fetch(page));
-  PageReader reader(guard.page());
-  const bool is_leaf = reader.Read<std::uint8_t>() != 0;
-  if (is_leaf) {
+  if (IsLeaf(*guard)) {
     throw StorageFault(Status::Corruption(
         "b+-tree page " + std::to_string(page) + " is not internal"));
   }
-  const std::uint32_t count = reader.Read<std::uint32_t>();
+  const std::uint32_t count = NodeCount(*guard);
   if (count > InternalCapacity()) {
     throw StorageFault(Status::Corruption(
         "b+-tree internal node at page " + std::to_string(page) +
         " declares " + std::to_string(count) + " keys"));
   }
+  return guard;
+}
+
+// The decoded nodes are copies, never views into the pool.
+BpTree::LeafNode BpTree::ReadLeaf(PageId page) const {
+  const PageGuard guard = PinLeaf(page);
+  const Page& node_page = *guard;
+  LeafNode node;
+  node.next_leaf = NextLeaf(node_page);
+  node.items.resize(NodeCount(node_page));
+  for (std::size_t i = 0; i < node.items.size(); ++i) {
+    node.items[i] = Item{LeafKey(node_page, i), LeafValue(node_page, i)};
+  }
+  return node;
+}
+
+BpTree::InternalNode BpTree::ReadInternal(PageId page) const {
+  const PageGuard guard = PinInternal(page);
+  const Page& node_page = *guard;
+  const std::uint32_t count = NodeCount(node_page);
   InternalNode node;
   node.keys.resize(count);
   node.children.resize(count + 1);
   for (std::uint32_t i = 0; i < count; ++i) {
-    node.keys[i] = reader.Read<std::uint64_t>();
+    node.keys[i] = InternalKey(node_page, i);
   }
   for (std::uint32_t i = 0; i <= count; ++i) {
-    node.children[i] = reader.Read<std::uint32_t>();
+    node.children[i] = InternalChild(node_page, count, i);
   }
   return node;
 }
@@ -189,21 +236,34 @@ void BpTree::BulkLoad(const std::vector<Item>& items) {
   root_ = level.front().second;
 }
 
-PageId BpTree::FindLeaf(Key key) const {
+PageGuard BpTree::FindLeaf(Key key) const {
   // lower_bound descent: a leaf split puts the separator at the right
   // sibling's front, but duplicates of it can remain in the LEFT sibling,
   // so the first subtree whose separator is >= key must be searched.
   // Readers compensate for landing one leaf early by following next_leaf.
   PageId page = root_;
-  while (!IsLeafPage(page)) {
-    const InternalNode node = ReadInternal(page);
-    const auto it =
-        std::lower_bound(node.keys.begin(), node.keys.end(), key);
-    const std::size_t idx =
-        static_cast<std::size_t>(it - node.keys.begin());
-    page = node.children[idx];
+  for (std::uint32_t level = height_ - 1; level > 0; --level) {
+    const PageGuard node = PinInternal(page);
+    const std::uint32_t count = NodeCount(*node);
+    const std::size_t idx = LowerBound(
+        count, key, [&](std::size_t i) { return InternalKey(*node, i); });
+    page = InternalChild(*node, count, idx);
   }
-  return page;
+  return PinLeaf(page);
+}
+
+PageGuard BpTree::SeekLeaf(Key key, std::size_t* index) const {
+  PageGuard leaf = FindLeaf(key);
+  for (;;) {
+    *index = LowerBound(NodeCount(*leaf), key,
+                        [&](std::size_t i) { return LeafKey(*leaf, i); });
+    if (*index < NodeCount(*leaf)) return leaf;
+    const PageId next = NextLeaf(*leaf);
+    // Unpin before fetching the next leaf: a probe holds one index pin.
+    leaf.Release();
+    if (next == kInvalidPage) return leaf;
+    leaf = PinLeaf(next);
+  }
 }
 
 bool BpTree::InsertRecursive(PageId page, std::uint32_t level_from_leaf,
@@ -285,21 +345,11 @@ void BpTree::Insert(Key key, const BpTreeValue& value) {
 
 StatusOr<bool> BpTree::Lookup(Key key, BpTreeValue* value) const {
   try {
-    // FindLeaf may land one leaf early (lower_bound descent); follow the
-    // leaf chain until an item >= key decides the answer.
-    PageId page = FindLeaf(key);
-    while (page != kInvalidPage) {
-      const LeafNode leaf = ReadLeaf(page);
-      for (const Item& item : leaf.items) {
-        if (item.first == key) {
-          *value = item.second;
-          return true;
-        }
-        if (item.first > key) return false;
-      }
-      page = leaf.next_leaf;
-    }
-    return false;
+    std::size_t i = 0;
+    const PageGuard leaf = SeekLeaf(key, &i);
+    if (!leaf || LeafKey(*leaf, i) != key) return false;
+    *value = LeafValue(*leaf, i);
+    return true;
   } catch (const StorageFault& fault) {
     return fault.status();
   }
@@ -467,7 +517,7 @@ StatusOr<bool> BpTree::Delete(Key key) {
 
 StatusOr<bool> BpTree::UpdateValue(Key key, const BpTreeValue& value) {
   try {
-    PageId page = FindLeaf(key);
+    PageId page = FindLeaf(key).id();
     while (page != kInvalidPage) {
       LeafNode leaf = ReadLeaf(page);
       for (Item& item : leaf.items) {
@@ -486,17 +536,21 @@ StatusOr<bool> BpTree::UpdateValue(Key key, const BpTreeValue& value) {
   }
 }
 
-Status BpTree::ScanRange(Key lo, Key hi, std::vector<Item>* out) const {
+Status BpTree::Scan(Key lo, Key hi, void* fn, ItemVisitor visit) const {
   try {
-    PageId page = FindLeaf(lo);
-    while (page != kInvalidPage) {
-      const LeafNode leaf = ReadLeaf(page);
-      for (const Item& item : leaf.items) {
-        if (item.first < lo) continue;
-        if (item.first > hi) return Status();
-        out->push_back(item);
+    std::size_t i = 0;
+    PageGuard leaf = SeekLeaf(lo, &i);
+    while (leaf) {
+      for (const std::uint32_t count = NodeCount(*leaf); i < count; ++i) {
+        const Key key = LeafKey(*leaf, i);
+        if (key > hi) return Status();
+        visit(fn, key, LeafValue(*leaf, i));
       }
-      page = leaf.next_leaf;
+      const PageId next = NextLeaf(*leaf);
+      leaf.Release();
+      if (next == kInvalidPage) break;
+      leaf = PinLeaf(next);
+      i = 0;
     }
   } catch (const StorageFault& fault) {
     return fault.status();

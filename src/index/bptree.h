@@ -80,9 +80,25 @@ class BpTree {
   // kCorruption for a structurally invalid node.
   StatusOr<bool> Lookup(Key key, BpTreeValue* value) const;
 
+  // Calls `visit(key, value)` for every item with lo <= key <= hi, in key
+  // order. Readers search each node in place under its pin and hold at most
+  // one index pin at a time. Fails like Lookup, after visiting a prefix of
+  // the answer.
+  template <typename Visit>
+  Status VisitRange(Key lo, Key hi, Visit visit) const {
+    return Scan(lo, hi, &visit,
+                [](void* fn, Key key, const BpTreeValue& value) {
+                  (*static_cast<Visit*>(fn))(key, value);
+                });
+  }
+
   // Appends all items with lo <= key <= hi, in key order. `*out` may hold a
   // prefix of the answer on failure.
-  Status ScanRange(Key lo, Key hi, std::vector<Item>* out) const;
+  Status ScanRange(Key lo, Key hi, std::vector<Item>* out) const {
+    return VisitRange(lo, hi, [out](Key key, const BpTreeValue& value) {
+      out->emplace_back(key, value);
+    });
+  }
 
   std::size_t size() const { return size_; }
   std::uint32_t height() const { return height_; }
@@ -99,18 +115,32 @@ class BpTree {
     std::vector<PageId> children;
   };
 
+  // Pin `page` after checking its leaf/internal flag and its item count
+  // against the node capacity; a violation throws kCorruption.
+  PageGuard PinLeaf(PageId page) const;
+  PageGuard PinInternal(PageId page) const;
+  // Decoded copies for the write paths; the pin is held only while
+  // decoding.
   LeafNode ReadLeaf(PageId page) const;
   InternalNode ReadInternal(PageId page) const;
-  bool IsLeafPage(PageId page) const;
   void WriteLeaf(PageId page, const LeafNode& node);
   void WriteInternal(PageId page, const InternalNode& node);
   PageId NewLeaf(const LeafNode& node);
   PageId NewInternal(const InternalNode& node);
 
-  // Descends to the leftmost leaf that may contain `key`; duplicates equal
-  // to a split separator can sit in the left sibling, so readers continue
-  // across next_leaf links from here.
-  PageId FindLeaf(Key key) const;
+  // Descends to the leftmost leaf that may contain `key` and returns it
+  // pinned, with one fetch per level; each parent's pin is released before
+  // its child is fetched. Duplicates equal to a split separator can sit in
+  // the left sibling, so readers continue across next_leaf links from
+  // here.
+  PageGuard FindLeaf(Key key) const;
+
+  // Pins the leaf holding the first item with key >= `key` and sets *index
+  // to its slot; returns an empty guard when no such item exists.
+  PageGuard SeekLeaf(Key key, std::size_t* index) const;
+
+  using ItemVisitor = void (*)(void* fn, Key key, const BpTreeValue& value);
+  Status Scan(Key lo, Key hi, void* fn, ItemVisitor visit) const;
 
   // Recursive insert; on child split returns true and fills the separator
   // key + new right-sibling page.

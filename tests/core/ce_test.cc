@@ -171,5 +171,48 @@ TEST(CeTest, NetworkPagesCounted) {
   EXPECT_GT(result.stats.settled_nodes, 0u);
 }
 
+TEST(CeTest, RefinementTiesJoinOpenListAndArePrunedLater) {
+  // Two query points at the ends of edge A-B (length 2) and three spurs,
+  // with dyadic lengths so every distance is exact. Distance vectors:
+  //   0 F (1, 1)      1 D (1, 1), co-located with F
+  //   2 X (1, 3)      3 S (0.5, 2.5)      4 Y (3.5, 1.5)
+  // Round-robin emission: q0 S, q1 F, q0 F (F completes, filtering ends),
+  // q1 D (exact tie: joins the open list), q0 D (completes, kept as a
+  // co-located duplicate), q1 Y (discarded), q0 X (exact tie on q0: joins
+  // the open list after filtering), q1 S (completes and prunes X on its
+  // partial distance).
+  RoadNetwork network;
+  const NodeId a = network.AddNode({0.2, 0.5});
+  const NodeId b = network.AddNode({0.6, 0.5});
+  const NodeId p = network.AddNode({0.2, 0.6});
+  const NodeId q = network.AddNode({0.1, 0.5});
+  const NodeId r = network.AddNode({0.7, 0.5});
+  const EdgeId ab = network.AddEdge(a, b, 2.0);
+  const EdgeId ap = network.AddEdge(a, p, 1.0);
+  const EdgeId aq = network.AddEdge(a, q, 2.0);
+  const EdgeId br = network.AddEdge(b, r, 2.0);
+  network.Finalize();
+  auto workload = testing::MakeWorkload(
+      std::move(network),
+      {{ab, 1.0}, {ab, 1.0}, {aq, 1.0}, {ap, 0.5}, {br, 1.5}});
+  SkylineQuerySpec spec;
+  spec.sources = {{ab, 0.0}, {ab, 2.0}};
+
+  const auto expected = RunNaive(workload->dataset(), spec);
+  std::vector<ObjectId> reported;
+  const auto got = RunCe(workload->dataset(), spec,
+                         [&](const SkylineEntry& e) {
+                           reported.push_back(e.object);
+                         });
+  EXPECT_EQ(testing::SkylineIds(got), testing::SkylineIds(expected));
+  EXPECT_EQ(reported, (std::vector<ObjectId>{0, 1, 3}));
+  // Recorded from the full-object-scan prune loop this replaced: the open
+  // list must run the same ProvablyDominates checks.
+  EXPECT_EQ(got.stats.candidate_count, 2u);
+  EXPECT_EQ(got.stats.bound_pruned, 2u);   // Y discarded, X pruned
+  EXPECT_EQ(got.stats.bound_examined, 3u);  // F, D and S completed
+  EXPECT_EQ(got.stats.dominance_tests, 9u);
+}
+
 }  // namespace
 }  // namespace msq

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/workloads.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
+#include "storage/fault_injection.h"
 #include "testing_support.h"
 
 namespace msq {
@@ -106,6 +108,42 @@ TEST_F(SpatialMappingTest, ProbesGoThroughBuffer) {
   mapping.ObjectsOnEdge(0, &on_edge);
   EXPECT_GT(buffer_.stats().accesses(), 0u);
 }
+
+TEST(SpatialMappingFaultTest, ReadFaultMidProbeClearsOutAndUnpins) {
+  // One object on edge 0, then enough on edge 1 that its probe spans
+  // several leaves. Probing edge 0 leaves the root and the first leaf
+  // resident, so the armed fault hits the second leaf of edge 1's probe,
+  // after the first leaf's objects were already appended.
+  RoadNetwork network = testing::MakeGridNetwork(4);
+  const Dist len = network.EdgeAt(1).length;
+  std::vector<Location> objects = {{0, 0.0}};
+  const std::size_t count = BpTree::LeafCapacity() * 3;
+  for (std::size_t i = 0; i < count; ++i) {
+    objects.push_back({1, len * static_cast<double>(i) /
+                              static_cast<double>(count)});
+  }
+  WorkloadConfig config;
+  config.fault_injection = FaultInjectionConfig{};
+  Workload workload(config, std::move(network), std::move(objects));
+  const SpatialMapping& mapping = *workload.dataset().mapping;
+  BufferManager& index_buffer = workload.index_buffer();
+
+  std::vector<EdgeObject> out;
+  ASSERT_TRUE(mapping.ObjectsOnEdge(0, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  workload.index_faults()->FailNextReads(1, StatusCode::kIoError);
+  const Status status = mapping.ObjectsOnEdge(1, &out);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(index_buffer.pinned_pages(), 0u);
+  EXPECT_EQ(workload.index_faults()->fault_stats().injected_scripted_faults,
+            1u);
+
+  // The fault was transient in effect: the next probe reads every object.
+  ASSERT_TRUE(mapping.ObjectsOnEdge(1, &out).ok());
+  EXPECT_EQ(out.size(), count);
+}
+
 
 }  // namespace
 }  // namespace msq
