@@ -175,6 +175,36 @@ BENCHMARK(BM_SkylineIndices)
     ->Args({10000, 3})
     ->Args({10000, 6});
 
+// The dominance kernel every skyline-set scan goes through: 500 rows of
+// d = 4. Arg(0) = 1 plants a dominator at the last row (a full scan that
+// hits); Arg(0) = 0 leaves the probe undominated (a full scan that misses).
+void BM_FirstDominator(benchmark::State& state) {
+  constexpr std::size_t kRows = 500;
+  constexpr std::size_t kDims = 4;
+  Rng rng(13);
+  // Rows live in [0.5, 1) in every dimension and the probe in [0, 0.5) in
+  // the last one, so no random row dominates it; its other components are
+  // uniform in [0, 1), so rows fail at varying components.
+  VectorRows rows(kDims);
+  DistVector row(kDims);
+  for (std::size_t r = 0; r + 1 < kRows; ++r) {
+    for (auto& x : row) x = 0.5 + 0.5 * rng.NextDouble();
+    rows.Append(row);
+  }
+  DistVector probe(kDims);
+  for (auto& x : probe) x = rng.NextDouble();
+  probe[kDims - 1] = 0.5 * rng.NextDouble();
+  for (std::size_t d = 0; d < kDims; ++d) {
+    row[d] = state.range(0) == 1 ? probe[d] - 0.1 : 1.0;
+  }
+  rows.Append(row);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FirstDominator(rows, probe, kFpTieMargin));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_FirstDominator)->Arg(0)->Arg(1);
+
 void BM_EuclideanSkylineBrowse(benchmark::State& state) {
   InMemoryDiskManager disk;
   BufferManager buffer(&disk, 4096);

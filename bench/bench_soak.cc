@@ -46,7 +46,7 @@
 //   MSQ_SOAK_PROM_OUT    Prometheus snapshot dump after drain (optional)
 //   MSQ_SOAK_WIDE_OUT    wide-event JSONL dump after drain (optional)
 //   MSQ_SOAK_TRACE_OUT   retained-trace Chrome-JSON dump after drain
-//   MSQ_SOAK_RSS_GROWTH_MAX  resource gate: max RSS ratio last/first
+//   MSQ_SOAK_RSS_GROWTH_MAX  resource gate: max memory ratio last/first
 //                        phase (default 1.5; plus a 32 MB absolute slack)
 //   MSQ_SOAK_FD_SLACK    resource gate: open fds after drain may exceed
 //                        the pre-serve baseline by this many (default 16)
@@ -55,6 +55,8 @@
 // Each phase samples the process RSS (/proc/self/status VmRSS) and the
 // open-fd count (/proc/self/fd) at phase end; the report embeds them and
 // two gates bound growth: a leaky server fails the run, not a dashboard.
+// Under AddressSanitizer the memory gate reads the live heap instead of
+// RSS (see GateMemoryKb).
 #include <dirent.h>
 #include <unistd.h>
 
@@ -67,6 +69,19 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MSQ_SOAK_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MSQ_SOAK_ASAN 1
+#endif
+#endif
+#ifdef MSQ_SOAK_ASAN
+// The sanitizer allocator interface (<sanitizer/allocator_interface.h>
+// in LLVM); GCC 12 ships the runtime symbol without that header.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 #include "common/rng.h"
 #include "core/skyline_query.h"
@@ -147,6 +162,21 @@ std::size_t ReadRssKb() {
   }
   std::fclose(f);
   return kb;
+}
+
+// Memory the growth gate tracks, in KiB. Under ASan, RSS also holds the
+// allocator's quarantine of freed chunks, which fills with allocation
+// volume rather than with leaks, so a run that allocates less per request
+// can trip a ratio against RSS with nothing leaked. The gate then reads
+// the live heap (allocated, not yet freed; quarantined chunks excluded)
+// and leaves the quarantine, and so use-after-free detection, as is.
+// Elsewhere it reads RSS.
+std::size_t GateMemoryKb() {
+#ifdef MSQ_SOAK_ASAN
+  return __sanitizer_get_current_allocated_bytes() / 1024;
+#else
+  return ReadRssKb();
+#endif
 }
 
 // Open descriptors from /proc/self/fd (".", "..", and the scan's own
@@ -395,6 +425,7 @@ struct PhaseReport {
   double shed_rate = 0.0;
   double truncation_rate = 0.0;
   std::size_t rss_kb = 0;
+  std::size_t gate_kb = 0;  // GateMemoryKb() at phase end
   std::size_t open_fds = 0;
 };
 
@@ -439,6 +470,7 @@ PhaseReport RunPhase(const char* name, std::uint16_t port,
         static_cast<double>(report.truncated) / answered;
   }
   report.rss_kb = ReadRssKb();
+  report.gate_kb = GateMemoryKb();
   report.open_fds = CountOpenFds();
   return report;
 }
@@ -624,29 +656,33 @@ int main(int argc, char** argv) {
     gate(p.p99_ms <= env.slo_ms, what, detail);
   }
 
-  // Resource gates. RSS may grow with load (buffers, per-connection
-  // state) but must stay within a ratio of the first loaded phase — a
-  // per-request leak compounds across the 2x and 4x phases and blows
-  // straight through it. The small absolute slack keeps tiny-scale runs
-  // (a few MB of RSS) from failing on allocator noise. Fds are checked
-  // after Shutdown: every connection is closed, so the count must return
-  // to the pre-traffic baseline give or take the configured slack.
+  // Resource gates. Memory (RSS, or the live heap under ASan) may grow
+  // with load (buffers, per-connection state) but must stay within a ratio
+  // of the first loaded phase — a per-request leak compounds across the 2x
+  // and 4x phases and blows straight through it. The small absolute slack
+  // keeps tiny-scale runs (a few MB) from failing on allocator noise. Fds
+  // are checked after Shutdown: every connection is closed, so the count
+  // must return to the pre-traffic baseline give or take the configured
+  // slack.
   {
-    const std::size_t first_rss = calibration.rss_kb;
-    const std::size_t last_rss = phases.empty() ? first_rss
-                                                : phases.back().rss_kb;
-    const double rss_limit_kb =
-        static_cast<double>(first_rss) * env.rss_growth_max + 32.0 * 1024.0;
+#ifdef MSQ_SOAK_ASAN
+    const char* const kMemory = "live heap";
+#else
+    const char* const kMemory = "rss";
+#endif
+    const std::size_t first_kb = calibration.gate_kb;
+    const std::size_t last_kb = phases.empty() ? first_kb
+                                               : phases.back().gate_kb;
+    const double limit_kb =
+        static_cast<double>(first_kb) * env.rss_growth_max + 32.0 * 1024.0;
     char what[64];
-    std::snprintf(what, sizeof(what), "rss growth <= %.2fx",
+    std::snprintf(what, sizeof(what), "%s growth <= %.2fx", kMemory,
                   env.rss_growth_max);
     char detail[96];
-    std::snprintf(detail, sizeof(detail),
-                  "rss %zu KB -> %zu KB (limit %.0f KB)", first_rss,
-                  last_rss, rss_limit_kb);
-    gate(first_rss == 0 ||
-             static_cast<double>(last_rss) <= rss_limit_kb,
-         what, detail);
+    std::snprintf(detail, sizeof(detail), "%s %zu KB -> %zu KB (limit %.0f KB)",
+                  kMemory, first_kb, last_kb, limit_kb);
+    gate(first_kb == 0 || static_cast<double>(last_kb) <= limit_kb, what,
+         detail);
   }
   const std::size_t final_fds = CountOpenFds();
   {
@@ -687,18 +723,18 @@ int main(int argc, char** argv) {
     json += buf;
     for (std::size_t i = 0; i < phases.size(); ++i) {
       const PhaseReport& p = phases[i];
-      char line[384];
+      char line[448];
       std::snprintf(
           line, sizeof(line),
           "    {\"phase\": \"%s\", \"offered_qps\": %.1f, "
           "\"achieved_qps\": %.1f, \"ok\": %" PRIu64 ", \"truncated\": %"
           PRIu64 ", \"shed\": %" PRIu64 ", \"errors\": %" PRIu64
           ", \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"shed_rate\": %.4f, "
-          "\"truncation_rate\": %.4f, \"rss_kb\": %zu, \"open_fds\": %zu}"
-          "%s\n",
+          "\"truncation_rate\": %.4f, \"rss_kb\": %zu, \"gate_kb\": %zu, "
+          "\"open_fds\": %zu}%s\n",
           p.name.c_str(), p.offered_qps, p.achieved_qps, p.ok, p.truncated,
           p.shed, p.errors, p.p50_ms, p.p99_ms, p.shed_rate,
-          p.truncation_rate, p.rss_kb, p.open_fds,
+          p.truncation_rate, p.rss_kb, p.gate_kb, p.open_fds,
           i + 1 < phases.size() ? "," : "");
       json += line;
     }

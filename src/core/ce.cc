@@ -253,7 +253,8 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   std::vector<bool> visited_once(m, false);
   std::size_t undetermined = m;
 
-  std::vector<DistVector> skyline_vectors;
+  // Reported vectors in report order: row i is result.skyline[i].vector.
+  VectorRows skyline_rows(n + dataset.static_dims());
 
   auto full_vector = [&](ObjectId id) {
     DistVector vec = state[id].dist;
@@ -264,7 +265,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
 
   // Whether skyline vector `s` provably dominates object `id` given the
   // known distances, the per-stream radii, and the static attributes.
-  auto provably_dominated = [&](const DistVector& s, ObjectId id) {
+  auto provably_dominated = [&](std::span<const Dist> s, ObjectId id) {
     const ObjectState& obj = state[id];
     const DistVector attrs = dataset.StaticAttributesOf(id);
     bool strict = false;
@@ -285,8 +286,8 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
     obs::Span span(trace, "ce.prune");
     for (ObjectId id = 0; id < m; ++id) {
       if (state[id].determined) continue;
-      for (const DistVector& s : skyline_vectors) {
-        if (provably_dominated(s, id)) {
+      for (std::size_t si = 0; si < skyline_rows.size(); ++si) {
+        if (provably_dominated(skyline_rows.row(si), id)) {
           state[id].determined = true;
           --undetermined;
           // Pruned on radius lower bounds before its vector was complete.
@@ -346,22 +347,14 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
       // All n distances were resolved exactly: fully examined.
       CountBoundExamined();
       const DistVector vec = full_vector(visit->object);
-      bool dominated = false;
-      for (std::size_t si = 0; si < skyline_vectors.size(); ++si) {
-        if (Dominates(skyline_vectors[si], vec)) {
-          CountDominanceAvoided(skyline_vectors.size() - si - 1);
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) {
+      if (FirstDominator(skyline_rows, vec, 0.0) == skyline_rows.size()) {
         scope.MarkInitial();
         SkylineEntry entry;
         entry.object = visit->object;
         entry.vector = vec;
         if (on_skyline) on_skyline(entry);
         result.skyline.push_back(entry);
-        skyline_vectors.push_back(vec);
+        skyline_rows.Append(vec);
         prune_scan();
       }
     } else if ((turn & 63u) == 0) {
@@ -375,21 +368,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
 
   // Tie safety, as in the base variant.
   obs::Span finalize_span(trace, "ce.finalize");
-  std::vector<SkylineEntry> filtered;
-  for (const SkylineEntry& entry : result.skyline) {
-    bool dominated = false;
-    for (std::size_t oi = 0; oi < result.skyline.size(); ++oi) {
-      const SkylineEntry& other = result.skyline[oi];
-      if (other.object != entry.object &&
-          Dominates(other.vector, entry.vector)) {
-        CountDominanceAvoided(result.skyline.size() - oi - 1);
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) filtered.push_back(entry);
-  }
-  result.skyline = std::move(filtered);
+  result.skyline = RemoveTieDominated(std::move(result.skyline), skyline_rows);
   finalize_span.Close();
 
   result.stats.skyline_size = result.skyline.size();
@@ -442,7 +421,9 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   std::vector<ObjectState> state(m);
   for (ObjectState& s : state) s.dist.assign(n, kInfDist);
 
-  std::vector<DistVector> skyline_vectors;  // with attributes appended
+  // Reported vectors (attributes appended) in report order: row i is
+  // result.skyline[i].vector.
+  VectorRows skyline_rows(n + dataset.static_dims());
   // Ids of candidates that may still be undetermined, in admission order.
   // Each prune pass compacts away the determined ones, so its cost follows
   // the open candidates rather than the object count.
@@ -474,11 +455,8 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     // Determination means every distance was resolved: fully examined.
     CountBoundExamined();
     const DistVector vec = full_vector(id);
-    for (std::size_t si = 0; si < skyline_vectors.size(); ++si) {
-      if (Dominates(skyline_vectors[si], vec)) {
-        CountDominanceAvoided(skyline_vectors.size() - si - 1);
-        return;  // dominated: silently pruned
-      }
+    if (FirstDominator(skyline_rows, vec, 0.0) < skyline_rows.size()) {
+      return;  // dominated: silently pruned
     }
     scope.MarkInitial();
     SkylineEntry entry;
@@ -486,7 +464,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     entry.vector = vec;
     if (on_skyline) on_skyline(entry);
     result.skyline.push_back(entry);
-    skyline_vectors.push_back(vec);
+    skyline_rows.Append(vec);
 
     // Prune candidates that the new skyline point provably dominates.
     std::size_t kept = 0;
@@ -619,19 +597,8 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   // entries (a no-op in the generic, tie-free case).
   {
     obs::Span finalize_span(trace, "ce.finalize");
-    std::vector<SkylineEntry> filtered;
-    for (const SkylineEntry& entry : result.skyline) {
-      bool dominated = false;
-      for (const SkylineEntry& other : result.skyline) {
-        if (other.object != entry.object &&
-            Dominates(other.vector, entry.vector)) {
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) filtered.push_back(entry);
-    }
-    result.skyline = std::move(filtered);
+    result.skyline =
+        RemoveTieDominated(std::move(result.skyline), skyline_rows);
   }
   result.stats.skyline_size = result.skyline.size();
   // As in the generalized path: stats count only this run's settles, the

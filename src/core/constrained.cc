@@ -89,32 +89,29 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
     return *searches[qi];
   };
 
-  std::vector<DistVector> skyline_vectors;
+  // Reported vectors in report order: row i is result.skyline[i].vector.
+  VectorRows skyline_rows(n + attr_dims);
 
   // Prune a subtree when it is dominated by a reported point or provably
   // out of range: the Euclidean distance to any query point already
   // exceeding the radius implies the network distance does too.
+  DistVector lb(n + attr_dims);  // scratch, rebuilt per entry
   auto prune = [&](const RTreeEntry& entry, bool is_leaf) {
-    DistVector lb;
-    lb.reserve(n + attr_dims);
     for (std::size_t i = 0; i < n; ++i) {
-      const Dist d = entry.mbr.MinDist(query_points[i]);
-      if (d > radius) return true;  // whole subtree violates
-      lb.push_back(d);
+      lb[i] = entry.mbr.MinDist(query_points[i]);
+      if (lb[i] > radius) return true;  // whole subtree violates
     }
-    if (skyline_vectors.empty()) return false;
+    if (skyline_rows.empty()) return false;
     if (attr_dims > 0) {
       if (is_leaf) {
         const DistVector attrs = dataset.StaticAttributesOf(entry.id);
-        lb.insert(lb.end(), attrs.begin(), attrs.end());
+        std::copy(attrs.begin(), attrs.end(), lb.begin() + n);
       } else {
-        lb.insert(lb.end(), min_attrs.begin(), min_attrs.end());
+        std::copy(min_attrs.begin(), min_attrs.end(), lb.begin() + n);
       }
     }
-    for (const DistVector& s : skyline_vectors) {
-      if (DominatesWithMargin(s, lb, kFpTieMargin)) return true;
-    }
-    return false;
+    return FirstDominator(skyline_rows, lb, kFpTieMargin) <
+           skyline_rows.size();
   };
   RTreeNnBrowser browser(dataset.object_rtree, query_points[src], prune);
 
@@ -186,7 +183,8 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
         if (bound[i] > radius) return {};  // constraint violated
       }
       bool dominated = false;
-      for (const DistVector& s : skyline_vectors) {
+      for (std::size_t si = 0; si < skyline_rows.size(); ++si) {
+        const std::span<const Dist> s = skyline_rows.row(si);
         bool leq = true;
         bool strict = false;
         for (std::size_t i = 0; i < n; ++i) {
@@ -254,23 +252,11 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
     entry.object = cand.object;
     entry.vector = vec;
     result.skyline.push_back(entry);
-    skyline_vectors.push_back(std::move(vec));
+    skyline_rows.Append(vec);
   }
 
   // Tie safety, as in RunLbc.
-  std::vector<SkylineEntry> filtered;
-  for (const SkylineEntry& entry : result.skyline) {
-    bool dominated = false;
-    for (const SkylineEntry& other : result.skyline) {
-      if (other.object != entry.object &&
-          Dominates(other.vector, entry.vector)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) filtered.push_back(entry);
-  }
-  result.skyline = std::move(filtered);
+  result.skyline = RemoveTieDominated(std::move(result.skyline), skyline_rows);
 
   result.stats.skyline_size = result.skyline.size();
   std::size_t settled = 0;

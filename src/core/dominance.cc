@@ -9,8 +9,8 @@
 namespace msq {
 namespace {
 
-// Cached at load: Dominates is the innermost loop of every skyline filter,
-// so the count costs one load + increment per call.
+// Cached at load: the dominance counters are bumped once per scan by the
+// innermost loops of every skyline filter.
 obs::Counter* const g_dominance_tests = obs::GlobalMetrics().counter(
     obs::metric::kDominanceTests);
 obs::Counter* const g_dominance_avoided = obs::GlobalMetrics().counter(
@@ -26,23 +26,100 @@ obs::Counter* const g_bound_pct_sum = obs::GlobalMetrics().counter(
 obs::Histogram* const g_bound_tightness = obs::GlobalMetrics().histogram(
     obs::metric::kBoundTightnessHist);
 
-}  // namespace
+// Adds one scan's dominance tests and avoided tests to the global counters
+// and the calling thread's block, so per-query attribution stays exact
+// under the concurrent executor.
+void CountScan(std::uint64_t tests, std::uint64_t avoided) {
+  obs::ThreadCounters& tc = obs::ThreadLocalCounters();
+  if (tests != 0) {
+    g_dominance_tests->Inc(tests);
+    tc.dominance_tests += tests;
+  }
+  if (avoided != 0) {
+    g_dominance_avoided->Inc(avoided);
+    tc.dominance_avoided += avoided;
+  }
+}
 
-namespace {
+// The one per-row dominance test: a <= b everywhere and a[i] < b[i] -
+// margin somewhere. It exits at the first worse component: a branch-free
+// form that evaluates every component measured slower (DESIGN.md §19),
+// since most rows fail on an early component.
+inline bool RowDominates(const Dist* a, const Dist* b, std::size_t dims,
+                         double margin) {
+  bool strict = false;
+  for (std::size_t i = 0; i < dims; ++i) {
+    if (a[i] > b[i]) return false;
+    if (a[i] < b[i] - margin) strict = true;
+  }
+  return strict;
+}
 
-// Every test bumps the global counter and the calling thread's block so
-// per-query attribution stays exact under the concurrent executor.
-inline void CountDominanceTest() {
-  g_dominance_tests->Inc();
-  ++obs::ThreadLocalCounters().dominance_tests;
+bool RowFinite(const Dist* v, std::size_t dims) {
+  for (std::size_t i = 0; i < dims; ++i) {
+    if (!std::isfinite(v[i])) return false;
+  }
+  return true;
+}
+
+DistSummary SummarizeRow(const Dist* v, std::size_t dims) {
+  DistSummary s;
+  if (dims == 0) return s;
+  s.min = v[0];
+  s.max = v[0];
+  for (std::size_t i = 1; i < dims; ++i) {
+    s.min = std::min(s.min, v[i]);
+    s.max = std::max(s.max, v[i]);
+  }
+  return s;
 }
 
 }  // namespace
 
-void CountDominanceAvoided(std::uint64_t n) {
-  if (n == 0) return;
-  g_dominance_avoided->Inc(n);
-  obs::ThreadLocalCounters().dominance_avoided += n;
+void VectorRows::Append(std::span<const Dist> v) {
+  MSQ_CHECK(v.size() == dims_);
+  values_.insert(values_.end(), v.begin(), v.end());
+  ++size_;
+}
+
+void VectorRows::SwapRemove(std::size_t i) {
+  MSQ_CHECK(i < size_);
+  --size_;
+  if (i != size_) {
+    std::copy_n(values_.begin() + size_ * dims_, dims_,
+                values_.begin() + i * dims_);
+  }
+  values_.resize(size_ * dims_);
+}
+
+std::size_t FirstDominator(const VectorRows& rows, std::span<const Dist> b,
+                           double margin, std::size_t skip) {
+  MSQ_CHECK(b.size() == rows.dims());
+  const std::size_t size = rows.size();
+  const std::size_t dims = rows.dims();
+  const Dist* row = rows.data();
+  std::size_t i = 0;
+  for (; i < size; ++i, row += dims) {
+    if (i != skip && RowDominates(row, b.data(), dims, margin)) break;
+  }
+  const std::size_t examined = i < size ? i + 1 : size;
+  CountScan(examined - (skip < examined ? 1 : 0),
+            i < size ? size - i - 1 : 0);
+  return i;
+}
+
+std::size_t CountDominators(const VectorRows& rows, std::span<const Dist> b,
+                            double margin, std::size_t cap) {
+  MSQ_CHECK(b.size() == rows.dims());
+  const std::size_t dims = rows.dims();
+  const Dist* row = rows.data();
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i < rows.size() && count < cap; ++i, row += dims) {
+    if (RowDominates(row, b.data(), dims, margin)) ++count;
+  }
+  CountScan(i, 0);
+  return count;
 }
 
 void CountBoundPruned(std::uint64_t n) {
@@ -75,13 +152,8 @@ unsigned RecordBoundTightness(Dist bound, Dist exact) {
 
 bool Dominates(const DistVector& a, const DistVector& b) {
   MSQ_CHECK(a.size() == b.size());
-  CountDominanceTest();
-  bool strict = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-    if (a[i] < b[i]) strict = true;
-  }
-  return strict;
+  CountScan(1, 0);
+  return RowDominates(a.data(), b.data(), a.size(), 0.0);
 }
 
 bool DominatesOrEqual(const DistVector& a, const DistVector& b) {
@@ -92,70 +164,44 @@ bool DominatesOrEqual(const DistVector& a, const DistVector& b) {
   return true;
 }
 
-bool DominatesWithMargin(const DistVector& a, const DistVector& b,
-                         double margin) {
-  MSQ_CHECK(a.size() == b.size());
-  CountDominanceTest();
-  bool strict = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > b[i]) return false;
-    if (a[i] < b[i] - margin) strict = true;
-  }
-  return strict;
-}
-
-bool AllFinite(const DistVector& v) {
-  for (const Dist d : v) {
-    if (!std::isfinite(d)) return false;
-  }
-  return true;
-}
+bool AllFinite(const DistVector& v) { return RowFinite(v.data(), v.size()); }
 
 DistSummary Summarize(const DistVector& v) {
-  DistSummary s;
-  if (v.empty()) return s;
-  s.min = v[0];
-  s.max = v[0];
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    s.min = std::min(s.min, v[i]);
-    s.max = std::max(s.max, v[i]);
-  }
-  return s;
+  return SummarizeRow(v.data(), v.size());
 }
 
-bool DominatesWithSummary(const DistVector& a, const DistSummary& sa,
-                          const DistVector& b, const DistSummary& sb) {
-  MSQ_CHECK(a.size() == b.size());
-  // a <= b component-wise forces min(a) <= min(b) and max(a) <= max(b);
-  // the contrapositive refutes dominance without touching the components.
-  if (sa.min > sb.min || sa.max > sb.max) {
-    CountDominanceTest();
-    return false;
-  }
-  return Dominates(a, b);
-}
-
-std::vector<std::size_t> SkylineIndices(
-    const std::vector<DistVector>& vectors) {
-  std::vector<std::size_t> window;
+std::vector<std::size_t> SkylineIndices(const VectorRows& vectors) {
+  const std::size_t dims = vectors.dims();
+  VectorRows window(dims);
+  std::vector<std::size_t> window_ids;        // parallel to `window`
   std::vector<DistSummary> window_summaries;  // parallel to `window`
+  std::uint64_t tests = 0;
+  std::uint64_t avoided = 0;
   for (std::size_t i = 0; i < vectors.size(); ++i) {
-    if (!AllFinite(vectors[i])) continue;
-    const DistSummary si = Summarize(vectors[i]);
+    const Dist* v = vectors.row(i).data();
+    if (!RowFinite(v, dims)) continue;
+    const DistSummary si = SummarizeRow(v, dims);
     bool dominated = false;
     for (std::size_t w = 0; w < window.size();) {
-      if (DominatesWithSummary(vectors[window[w]], window_summaries[w],
-                               vectors[i], si)) {
+      const Dist* wv = window.row(w).data();
+      const DistSummary& sw = window_summaries[w];
+      // Each direction is one test; the summary check refutes it without
+      // the component loop when min or max is out of order.
+      ++tests;
+      if (sw.min <= si.min && sw.max <= si.max &&
+          RowDominates(wv, v, dims, 0.0)) {
         dominated = true;
         // Early exit: the rest of the window never gets compared against
         // this candidate.
-        CountDominanceAvoided(window.size() - w - 1);
+        avoided += window.size() - w - 1;
         break;
       }
-      if (DominatesWithSummary(vectors[i], si, vectors[window[w]],
-                               window_summaries[w])) {
-        window[w] = window.back();
-        window.pop_back();
+      ++tests;
+      if (si.min <= sw.min && si.max <= sw.max &&
+          RowDominates(v, wv, dims, 0.0)) {
+        window.SwapRemove(w);
+        window_ids[w] = window_ids.back();
+        window_ids.pop_back();
         window_summaries[w] = window_summaries.back();
         window_summaries.pop_back();
         continue;
@@ -163,12 +209,21 @@ std::vector<std::size_t> SkylineIndices(
       ++w;
     }
     if (!dominated) {
-      window.push_back(i);
+      window.Append({v, dims});
+      window_ids.push_back(i);
       window_summaries.push_back(si);
     }
   }
-  std::sort(window.begin(), window.end());
-  return window;
+  CountScan(tests, avoided);
+  std::sort(window_ids.begin(), window_ids.end());
+  return window_ids;
+}
+
+std::vector<std::size_t> SkylineIndices(
+    const std::vector<DistVector>& vectors) {
+  VectorRows rows(vectors.empty() ? 0 : vectors.front().size());
+  for (const DistVector& v : vectors) rows.Append(v);
+  return SkylineIndices(rows);
 }
 
 }  // namespace msq

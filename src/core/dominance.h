@@ -5,10 +5,15 @@
 // to the query points with optional static attributes (paper Section 4.3:
 // non-spatial attributes "can be treated as normal attributes which have
 // pre-computed 'network distances'").
+//
+// Every scan of a skyline set for a dominator goes through one kernel,
+// FirstDominator over a VectorRows store (DESIGN.md §19).
 #ifndef MSQ_CORE_DOMINANCE_H_
 #define MSQ_CORE_DOMINANCE_H_
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -18,8 +23,33 @@ namespace msq {
 // Attribute/distance vector of one object.
 using DistVector = std::vector<Dist>;
 
+// Row-major store of equal-length vectors: one contiguous buffer, so a scan
+// walks memory linearly and appending a vector allocates only on growth.
+class VectorRows {
+ public:
+  explicit VectorRows(std::size_t dims) : dims_(dims) {}
+
+  std::size_t dims() const { return dims_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Dist* data() const { return values_.data(); }
+  std::span<const Dist> row(std::size_t i) const {
+    return {values_.data() + i * dims_, dims_};
+  }
+
+  // Appends a copy of `v`, which must have dims() components.
+  void Append(std::span<const Dist> v);
+  // Overwrites row `i` with the last row and drops the last.
+  void SwapRemove(std::size_t i);
+
+ private:
+  std::size_t dims_;
+  std::size_t size_ = 0;
+  std::vector<Dist> values_;
+};
+
 // Whether `a` dominates `b` (strictly better somewhere, nowhere worse).
-// Both vectors must have the same size.
+// Both vectors must have the same size. Counts one dominance test.
 bool Dominates(const DistVector& a, const DistVector& b);
 
 // Whether `a` is component-wise <= `b`.
@@ -34,43 +64,42 @@ bool DominatesOrEqual(const DistVector& a, const DistVector& b);
 // staying far below any genuine distance difference is appropriate.
 inline constexpr double kFpTieMargin = 1e-9;
 
-// Dominance with the strict dimension required to win by more than
-// `margin`: a <= b everywhere and a[i] < b[i] - margin somewhere. Used by
-// the R-tree prune predicates, whose `b` is an optimistic bound computed
-// through a different FP path than `a`.
-bool DominatesWithMargin(const DistVector& a, const DistVector& b,
-                         double margin);
+inline constexpr std::size_t kNoSkip = std::numeric_limits<std::size_t>::max();
+
+// Index of the first row of `rows` that dominates `b`, or rows.size() if
+// none does. A row dominates when it is <= b everywhere and < b[i] - margin
+// somewhere: margin 0 is exact Dominates, kFpTieMargin is for an optimistic
+// `b` computed through a different FP path than the rows (R-tree bounds).
+// Row `skip` is left out (tie-safety passes exclude the entry itself).
+//
+// Accounting (DESIGN.md §17): one dominance test per row examined, and on a
+// hit at row i, size - i - 1 tests avoided; both are added once per scan to
+// the global registry and the calling thread's obs::ThreadCounters block.
+std::size_t FirstDominator(const VectorRows& rows, std::span<const Dist> b,
+                           double margin, std::size_t skip = kNoSkip);
+
+// Number of rows dominating `b` (same test as FirstDominator), stopping at
+// `cap`. Counts one dominance test per row examined.
+std::size_t CountDominators(const VectorRows& rows, std::span<const Dist> b,
+                            double margin, std::size_t cap);
 
 // Whether every component is finite (the library's skyline semantics
 // exclude objects unreachable from any query point).
 bool AllFinite(const DistVector& v);
 
-// Component range of one vector, computed once per candidate so repeated
-// dominance tests against it can skip their component loops.
+// Component range of one vector. If a dominates b then min(a) <= min(b)
+// and max(a) <= max(b), so SkylineIndices refutes most window comparisons
+// in O(1) from the summaries before touching the components.
 struct DistSummary {
   Dist min = 0.0;
   Dist max = 0.0;
 };
 DistSummary Summarize(const DistVector& v);
 
-// Dominates(a, b) given precomputed summaries. If a dominates b then
-// min(a) <= min(b) and max(a) <= max(b), so either inequality failing — in
-// particular the candidate's min exceeding the incumbent's max — refutes
-// dominance in O(1) and the component loop is skipped. Counts as one
-// dominance test either way, so QueryStats/trace reconciliation is
-// unaffected by which path resolves it.
-bool DominatesWithSummary(const DistVector& a, const DistSummary& sa,
-                          const DistVector& b, const DistSummary& sb);
-
 // Pruning-power accounting (DESIGN.md §17). Each helper bumps the global
-// registry counter and the calling thread's obs::ThreadCounters block, the
-// same double-write CountDominanceTest uses, so per-query deltas stay
-// exact under the concurrent executor.
+// registry counter and the calling thread's obs::ThreadCounters block, so
+// per-query deltas stay exact under the concurrent executor.
 //
-// `CountDominanceAvoided(n)` records `n` pairwise tests made unnecessary —
-// the rest of a window skipped after an early dominance exit, or an
-// incumbent window a bound-pruned object never met.
-void CountDominanceAvoided(std::uint64_t n);
 // Partition of candidate objects: eliminated by a plb/Euclid/ALT lower
 // bound alone vs. carried to exact network distances.
 void CountBoundPruned(std::uint64_t n = 1);
@@ -85,8 +114,10 @@ unsigned RecordBoundTightness(Dist bound, Dist exact);
 
 // Block-nested-loops skyline of `vectors`: returns the indices (into
 // `vectors`) of the undominated entries, in input order. Entries with a
-// non-finite component are excluded. Window comparisons go through
-// DominatesWithSummary, pruning most full component scans.
+// non-finite component are excluded. Each window comparison counts as one
+// dominance test, whether the summaries refute it or the components do;
+// an early exit counts the rest of the window as avoided.
+std::vector<std::size_t> SkylineIndices(const VectorRows& vectors);
 std::vector<std::size_t> SkylineIndices(
     const std::vector<DistVector>& vectors);
 

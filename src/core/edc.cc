@@ -1,5 +1,6 @@
 #include "core/edc.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -156,7 +157,8 @@ class EdcRunner {
 
   // Whether point `o` (exact Euclidean distances + attrs) lies inside the
   // hypercube of `window`.
-  bool InsideWindow(const DistVector& exact, const DistVector& window) const {
+  bool InsideWindow(std::span<const Dist> exact,
+                    const DistVector& window) const {
     MSQ_CHECK(exact.size() == window.size());
     for (std::size_t i = 0; i < exact.size(); ++i) {
       if (exact[i] > window[i]) return false;
@@ -197,73 +199,85 @@ class EdcRunner {
     return false;
   }
 
-  // Completion pass (EdcOptions::paper_faithful == false): fetches every
-  // object whose optimistic Euclidean vector (+ attribute lower bounds) is
-  // not dominated by any vector in `skyline_estimate`. Any object outside
-  // that region is provably network-dominated by a skyline-estimate member
-  // (s <= dE(o) <= dN(o) component-wise with a strict dimension), so
-  // fetching the region to a fixpoint makes EDC exact. Returns how many
-  // new candidates were added.
-  std::size_t FetchUndominatedRegion(
-      const std::vector<DistVector>& skyline_estimate,
-      std::vector<ObjectId>* order,
-      std::unordered_map<ObjectId, bool>* candidates) {
-    std::size_t added = 0;
+  // Appends the network vectors of order[rows->size()..] to `rows`, in
+  // order (the NetworkVector call order fixes the A* settle sequence).
+  void ExtendRows(const std::vector<ObjectId>& order, VectorRows* rows) {
+    while (rows->size() < order.size()) {
+      rows->Append(NetworkVector(order[rows->size()]));
+    }
+  }
+
+  // Fetches every object whose optimistic Euclidean vector (+ attribute
+  // lower bounds) is not dominated by any row of `skyline_estimate`. Any
+  // object outside that region is provably network-dominated by an
+  // estimate member (s <= dE(o) <= dN(o) component-wise with a strict
+  // dimension).
+  void FetchUndominatedRegion(const VectorRows& skyline_estimate,
+                              std::vector<ObjectId>* order,
+                              std::unordered_map<ObjectId, bool>* candidates) {
+    DistVector lb(n() + attr_dims());  // scratch, rebuilt per entry
     std::vector<PageId> stack = {dataset_.object_rtree->root_page()};
     while (!stack.empty()) {
       const PageId page = stack.back();
       stack.pop_back();
       const RTreeNode node = dataset_.object_rtree->ReadNode(page);
       for (const RTreeEntry& e : node.entries) {
-        DistVector lb;
-        lb.reserve(n() + attr_dims());
         for (std::size_t i = 0; i < n(); ++i) {
-          lb.push_back(e.mbr.MinDist(query_points_[i]));
+          lb[i] = e.mbr.MinDist(query_points_[i]);
         }
         if (attr_dims() > 0) {
           const DistVector attrs = node.is_leaf
                                        ? dataset_.StaticAttributesOf(e.id)
                                        : min_attrs_;
-          lb.insert(lb.end(), attrs.begin(), attrs.end());
+          std::copy(attrs.begin(), attrs.end(), lb.begin() + n());
         }
-        bool dominated = false;
-        for (std::size_t si = 0; si < skyline_estimate.size(); ++si) {
-          // Margin-strict: lb is a Euclidean bound compared against
-          // network distances (see dominance.h).
-          if (DominatesWithMargin(skyline_estimate[si], lb, kFpTieMargin)) {
-            CountDominanceAvoided(skyline_estimate.size() - si - 1);
-            dominated = true;
-            break;
-          }
+        // Margin-strict: lb is a Euclidean bound compared against network
+        // distances (see dominance.h).
+        if (FirstDominator(skyline_estimate, lb, kFpTieMargin) <
+            skyline_estimate.size()) {
+          continue;
         }
-        if (dominated) continue;
         if (node.is_leaf) {
           if (candidates->emplace(e.id, true).second) {
             order->push_back(e.id);
-            ++added;
           }
         } else {
           stack.push_back(e.id);
         }
       }
     }
-    return added;
   }
 
-  // Runs FetchUndominatedRegion to a fixpoint against the evolving
-  // skyline-of-candidates estimate.
-  void CompleteCandidates(std::vector<ObjectId>* order,
-                          std::unordered_map<ObjectId, bool>* candidates) {
-    for (;;) {
-      std::vector<DistVector> vectors;
-      vectors.reserve(order->size());
-      for (const ObjectId id : *order) vectors.push_back(NetworkVector(id));
-      const std::vector<std::size_t> sky = SkylineIndices(vectors);
-      std::vector<DistVector> estimate;
-      estimate.reserve(sky.size());
-      for (const std::size_t idx : sky) estimate.push_back(vectors[idx]);
-      if (FetchUndominatedRegion(estimate, order, candidates) == 0) break;
+  // Completion pass (EdcOptions::paper_faithful == false): one
+  // FetchUndominatedRegion against E0, the skyline of the candidates so
+  // far, makes C exact. A second pass would add nothing: the skyline E1 of
+  // the grown set covers E0 (every x in E0 is in E1 or dominated by one of
+  // its members), so the region undominated by E1 lies inside the one
+  // undominated by E0, whose leaves are all candidates already (DESIGN.md
+  // §4b). On return `rows` holds the network vector of every candidate,
+  // in `order`; the result is the candidates' skyline as indices into
+  // `order`, ascending, computed as sky(E0 ∪ new) = sky(C).
+  std::vector<std::size_t> CompleteCandidates(
+      std::vector<ObjectId>* order,
+      std::unordered_map<ObjectId, bool>* candidates, VectorRows* rows) {
+    ExtendRows(*order, rows);
+    std::vector<std::size_t> ids = SkylineIndices(*rows);
+    VectorRows estimate(rows->dims());
+    for (const std::size_t idx : ids) estimate.Append(rows->row(idx));
+    FetchUndominatedRegion(estimate, order, candidates);
+    // E0 and the fetched candidates, still in ascending `order` position.
+    for (std::size_t i = rows->size(); i < order->size(); ++i) {
+      ids.push_back(i);
     }
+    ExtendRows(*order, rows);
+    for (std::size_t k = estimate.size(); k < ids.size(); ++k) {
+      estimate.Append(rows->row(ids[k]));
+    }
+    std::vector<std::size_t> skyline;
+    for (const std::size_t idx : SkylineIndices(estimate)) {
+      skyline.push_back(ids[idx]);
+    }
+    return skyline;
   }
 
   std::size_t TotalSettled() const {
@@ -354,29 +368,32 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
     }
   }
 
-  // Completion pass (off in paper-faithful mode): grow C until it covers
-  // the entire region undominated by the skyline estimate.
+  // Step 4 + 5: network distances for every candidate (A* labels from
+  // step 2 are reused automatically), then pairwise comparison. The
+  // completion pass (off in paper-faithful mode) grows C to cover the
+  // entire region undominated by the skyline estimate and yields the
+  // skyline itself.
+  VectorRows rows(runner.n() + runner.attr_dims());  // row i: order[i]
+  std::vector<std::size_t> skyline;
   if (!options.paper_faithful) {
     obs::Span span(trace, "edc.complete");
-    runner.CompleteCandidates(&order, &candidates);
+    skyline = runner.CompleteCandidates(&order, &candidates, &rows);
   }
-
-  // Step 4 + 5: network distances for every candidate (A* labels from
-  // step 2 are reused automatically), then pairwise comparison.
   obs::Span refine_span(trace, "edc.refine");
-  std::vector<DistVector> vectors;
-  vectors.reserve(order.size());
-  for (const ObjectId id : order) {
-    if (guard.Exceeded()) return truncate();
-    vectors.push_back(runner.NetworkVector(id));
+  if (options.paper_faithful) {
+    for (const ObjectId id : order) {
+      if (guard.Exceeded()) return truncate();
+      rows.Append(runner.NetworkVector(id));
+    }
+    skyline = SkylineIndices(rows);
+  } else if (guard.Exceeded()) {
+    return truncate();
   }
-
-  const std::vector<std::size_t> skyline = SkylineIndices(vectors);
   for (const std::size_t idx : skyline) {
     scope.MarkInitial();
     SkylineEntry entry;
     entry.object = order[idx];
-    entry.vector = vectors[idx];
+    entry.vector.assign(rows.row(idx).begin(), rows.row(idx).end());
     if (on_skyline) on_skyline(entry);
     result.skyline.push_back(std::move(entry));
   }
@@ -423,55 +440,50 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
   std::vector<ObjectId> order;
   std::unordered_map<ObjectId, bool> candidates;
   std::vector<std::uint8_t> determined(dataset.object_count(), 0);
-  std::vector<DistVector> reported_vectors;
+  const std::size_t dims = runner.n() + runner.attr_dims();
+  VectorRows order_rows(dims);  // row p: network vector of order[p]
+  VectorRows reported_rows(dims);
+
+  // Whether order[p] is dominated by a reported point or by any other
+  // fetched candidate.
+  auto dominated = [&](std::size_t p) {
+    const std::span<const Dist> vec = order_rows.row(p);
+    return FirstDominator(reported_rows, vec, 0.0) < reported_rows.size() ||
+           FirstDominator(order_rows, vec, 0.0, p) < order_rows.size();
+  };
+  auto report = [&](std::size_t p) {
+    scope.MarkInitial();
+    SkylineEntry entry;
+    entry.object = order[p];
+    entry.vector.assign(order_rows.row(p).begin(), order_rows.row(p).end());
+    if (on_skyline) on_skyline(entry);
+    result.skyline.push_back(entry);
+    reported_rows.Append(entry.vector);
+  };
 
   // Reports every undetermined candidate that (a) lies inside a processed
   // window — so all of its potential dominators are already fetched — and
-  // (b) is dominated by nothing fetched or reported.
+  // (b) is dominated by nothing fetched or reported. Network vectors are
+  // resolved up front in `order` sequence, the order the scans would first
+  // touch them in.
   auto drain_determinable = [&]() {
+    runner.ExtendRows(order, &order_rows);
     bool changed = true;
     while (changed) {
       changed = false;
-      for (const ObjectId id : order) {
-        if (determined[id]) continue;
-        const DistVector& vec = runner.NetworkVector(id);
+      for (std::size_t p = 0; p < order.size(); ++p) {
+        if (determined[order[p]]) continue;
         bool covered = false;
         for (const DistVector& w : processed_windows) {
-          if (runner.InsideWindow(vec, w)) {
+          if (runner.InsideWindow(order_rows.row(p), w)) {
             covered = true;
             break;
           }
         }
         if (!covered) continue;
-        bool dominated = false;
-        for (std::size_t si = 0; si < reported_vectors.size(); ++si) {
-          if (Dominates(reported_vectors[si], vec)) {
-            CountDominanceAvoided(reported_vectors.size() - si - 1);
-            dominated = true;
-            break;
-          }
-        }
-        if (!dominated) {
-          for (std::size_t oi = 0; oi < order.size(); ++oi) {
-            const ObjectId other = order[oi];
-            if (other != id &&
-                Dominates(runner.NetworkVector(other), vec)) {
-              CountDominanceAvoided(order.size() - oi - 1);
-              dominated = true;
-              break;
-            }
-          }
-        }
-        determined[id] = 1;
+        determined[order[p]] = 1;
         changed = true;
-        if (dominated) continue;
-        scope.MarkInitial();
-        SkylineEntry entry;
-        entry.object = id;
-        entry.vector = vec;
-        if (on_skyline) on_skyline(entry);
-        result.skyline.push_back(entry);
-        reported_vectors.push_back(vec);
+        if (!dominated(p)) report(p);
       }
     }
   };
@@ -513,45 +525,19 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
 
   // Completion pass (off in paper-faithful mode) before the final report:
   // late-fetched candidates can both add missed skyline points and expose
-  // false positives among the undetermined remainder.
+  // false positives among the undetermined remainder. The skyline it
+  // returns is not needed: the checks below decide each candidate.
   if (!options.paper_faithful) {
     obs::Span span(trace, "edc.complete");
-    runner.CompleteCandidates(&order, &candidates);
+    runner.CompleteCandidates(&order, &candidates, &order_rows);
   }
 
   // Browser exhausted: remaining undetermined candidates are skyline unless
   // dominated by something fetched.
   obs::Span refine_span(trace, "edc.refine");
-  for (const ObjectId id : order) {
-    if (determined[id]) continue;
-    const DistVector& vec = runner.NetworkVector(id);
-    bool dominated = false;
-    for (std::size_t si = 0; si < reported_vectors.size(); ++si) {
-      if (Dominates(reported_vectors[si], vec)) {
-        CountDominanceAvoided(reported_vectors.size() - si - 1);
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      for (std::size_t oi = 0; oi < order.size(); ++oi) {
-        const ObjectId other = order[oi];
-        if (other != id && Dominates(runner.NetworkVector(other), vec)) {
-          CountDominanceAvoided(order.size() - oi - 1);
-          dominated = true;
-          break;
-        }
-      }
-    }
-    determined[id] = 1;
-    if (dominated) continue;
-    scope.MarkInitial();
-    SkylineEntry entry;
-    entry.object = id;
-    entry.vector = vec;
-    if (on_skyline) on_skyline(entry);
-    result.skyline.push_back(entry);
-    reported_vectors.push_back(vec);
+  runner.ExtendRows(order, &order_rows);
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    if (!determined[order[p]] && !dominated(p)) report(p);
   }
 
   result.stats.candidate_count = order.size();

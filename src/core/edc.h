@@ -34,10 +34,11 @@ struct EdcOptions {
   // published EDC can therefore miss skyline points and report candidates
   // dominated only by unfetched objects (see DESIGN.md §5 and
   // tests/core/edc_test.cc: KnownLimitation*). With this flag false
-  // (default) a completion pass repeatedly fetches every object whose
-  // optimistic Euclidean vector is undominated by the current skyline
-  // estimate, which restores exactness while preserving the algorithm's
-  // structure. Benchmarks set it true to measure the published algorithm.
+  // (default) a single completion pass fetches every object whose
+  // optimistic Euclidean vector is undominated by the skyline of the
+  // candidates so far, which restores exactness while preserving the
+  // algorithm's structure (one pass suffices: DESIGN.md §4b). Benchmarks
+  // set it true to measure the published algorithm.
   bool paper_faithful = false;
 };
 

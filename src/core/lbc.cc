@@ -109,37 +109,31 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     return dist;
   };
 
-  // Reported skyline vectors (network distances + attributes).
-  std::vector<DistVector> skyline_vectors;
+  // Reported skyline vectors (network distances + attributes), in report
+  // order: row i is result.skyline[i].vector.
+  VectorRows skyline_rows(n + attr_dims);
 
   // Step 1.1's Euclidean NN browser with skyline-dominance pruning: an
   // entry is skipped when some s in S is at least as good as the entry's
   // optimistic vector in every dimension and strictly better somewhere.
   // (The ith attribute of the entry is its *Euclidean* distance to qi while
   // s carries *network* distances; dE <= dN makes the comparison sound.)
+  DistVector lb(n + attr_dims);  // scratch, rebuilt per entry
   auto prune = [&](const RTreeEntry& entry, bool is_leaf) {
-    if (skyline_vectors.empty()) return false;
-    DistVector lb;
-    lb.reserve(n + attr_dims);
+    if (skyline_rows.empty()) return false;
     for (std::size_t i = 0; i < n; ++i) {
-      lb.push_back(entry.mbr.MinDist(query_points[i]));
+      lb[i] = entry.mbr.MinDist(query_points[i]);
     }
     if (attr_dims > 0) {
       if (is_leaf) {
         const DistVector attrs = dataset.StaticAttributesOf(entry.id);
-        lb.insert(lb.end(), attrs.begin(), attrs.end());
+        std::copy(attrs.begin(), attrs.end(), lb.begin() + n);
       } else {
-        lb.insert(lb.end(), min_attrs.begin(), min_attrs.end());
+        std::copy(min_attrs.begin(), min_attrs.end(), lb.begin() + n);
       }
     }
-    for (std::size_t si = 0; si < skyline_vectors.size(); ++si) {
-      if (DominatesWithMargin(skyline_vectors[si], lb, kFpTieMargin)) {
-        // Early exit: the remaining skyline vectors were never tested.
-        CountDominanceAvoided(skyline_vectors.size() - si - 1);
-        return true;
-      }
-    }
-    return false;
+    return FirstDominator(skyline_rows, lb, kFpTieMargin) <
+           skyline_rows.size();
   };
   // Per-source discovery state. Single-source mode (the paper's primary
   // formulation) uses only spec.lbc_source_index; alternation (§4.3
@@ -288,15 +282,16 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     // Candidate dominators: s that are no worse on every static attribute
     // (others can never dominate p, whatever the distances turn out to be).
     struct Dominator {
-      const DistVector* vec;
+      const Dist* vec;  // row of skyline_rows
       std::uint64_t satisfied_mask = 0;  // dims with s[i] <= bound[i]
       std::uint32_t satisfied = 0;
       bool strict = false;
     };
     MSQ_CHECK(n <= 64);
     std::vector<Dominator> dominators;
-    dominators.reserve(skyline_vectors.size());
-    for (const DistVector& s : skyline_vectors) {
+    dominators.reserve(skyline_rows.size());
+    for (std::size_t si = 0; si < skyline_rows.size(); ++si) {
+      const Dist* s = skyline_rows.row(si).data();
       bool attr_ok = true;
       bool attr_strict = false;
       for (std::size_t j = 0; j < attr_dims; ++j) {
@@ -308,7 +303,7 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       }
       if (!attr_ok) continue;
       Dominator d;
-      d.vec = &s;
+      d.vec = s;
       d.strict = attr_strict;
       for (std::size_t i = 0; i < n; ++i) {
         if (s[i] <= bound[i]) {
@@ -349,7 +344,7 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     auto update_dim = [&](std::size_t dim) -> bool {
       const std::uint64_t bit = std::uint64_t{1} << dim;
       for (Dominator& d : dominators) {
-        const Dist s_val = (*d.vec)[dim];
+        const Dist s_val = d.vec[dim];
         if (s_val <= bound[dim]) {
           if ((d.satisfied_mask & bit) == 0) {
             d.satisfied_mask |= bit;
@@ -466,29 +461,15 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     entry.vector = vec;
     if (on_skyline) on_skyline(entry);
     result.skyline.push_back(entry);
-    skyline_vectors.push_back(std::move(vec));
+    skyline_rows.Append(vec);
   }
 
-  // Tie safety (as in CE): with exactly equal source distances the pop
-  // order between two candidates is arbitrary and a dominated one can be
-  // reported before its dominator. No-op in the tie-free generic case.
+  // Tie safety: with exactly equal source distances the pop order between
+  // two candidates is arbitrary.
   {
     obs::Span finalize_span(trace, "lbc.finalize");
-    std::vector<SkylineEntry> filtered;
-    for (const SkylineEntry& entry : result.skyline) {
-      bool dominated = false;
-      for (std::size_t oi = 0; oi < result.skyline.size(); ++oi) {
-        const SkylineEntry& other = result.skyline[oi];
-        if (other.object != entry.object &&
-            Dominates(other.vector, entry.vector)) {
-          CountDominanceAvoided(result.skyline.size() - oi - 1);
-          dominated = true;
-          break;
-        }
-      }
-      if (!dominated) filtered.push_back(entry);
-    }
-    result.skyline = std::move(filtered);
+    result.skyline =
+        RemoveTieDominated(std::move(result.skyline), skyline_rows);
   }
 
   result.stats.skyline_size = result.skyline.size();

@@ -26,6 +26,18 @@ DistVector Dataset::MinStaticAttributes() const {
   return mins;
 }
 
+std::vector<SkylineEntry> RemoveTieDominated(std::vector<SkylineEntry> skyline,
+                                             const VectorRows& rows) {
+  MSQ_CHECK(rows.size() == skyline.size());
+  std::vector<SkylineEntry> kept;
+  for (std::size_t i = 0; i < skyline.size(); ++i) {
+    if (FirstDominator(rows, rows.row(i), 0.0, i) == rows.size()) {
+      kept.push_back(std::move(skyline[i]));
+    }
+  }
+  return kept;
+}
+
 Status ValidateQuery(const Dataset& dataset, const SkylineQuerySpec& spec) {
   // Missing dataset wiring is a programming error, not query input.
   MSQ_CHECK(dataset.network != nullptr && dataset.graph_pager != nullptr &&

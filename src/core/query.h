@@ -219,6 +219,14 @@ struct SkylineResult {
 // Progressive reporting hook: invoked as each skyline point is confirmed.
 using ProgressiveCallback = std::function<void(const SkylineEntry&)>;
 
+// Tie-safety pass of CE, LBC and the constrained skyline: with exactly
+// equal distances the emission order between two objects is arbitrary and
+// a dominated one can be reported before its dominator. Keeps the entries
+// that no other entry dominates, in order. Row i of `rows` must be
+// skyline[i].vector. A no-op in the tie-free generic case.
+std::vector<SkylineEntry> RemoveTieDominated(std::vector<SkylineEntry> skyline,
+                                             const VectorRows& rows);
+
 // Validates that the query spec is non-empty and every source location is
 // valid on the dataset's network. Returns kInvalidArgument on violation —
 // query inputs are external data, not programmer state. Missing dataset

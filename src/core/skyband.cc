@@ -11,25 +11,6 @@
 #include "index/rtree.h"
 
 namespace msq {
-namespace {
-
-// Dominator count of `vec` within `others`, capped at `cap` (counting
-// beyond the cap never changes band membership).
-// `vec` is an optimistic bound computed through a different FP path than
-// the resolved vectors, so strictness uses the tie margin (dominance.h).
-std::size_t CountDominators(const DistVector& vec,
-                            const std::vector<DistVector>& others,
-                            std::size_t cap) {
-  std::size_t count = 0;
-  for (const DistVector& other : others) {
-    if (DominatesWithMargin(other, vec, kFpTieMargin)) {
-      if (++count >= cap) break;
-    }
-  }
-  return count;
-}
-
-}  // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>> SkybandIndices(
     const std::vector<DistVector>& vectors, std::size_t k) {
@@ -121,26 +102,27 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
   // resolution order. Dominators of a candidate resolve before it (ties
   // repaired by the final recount), so counting within this set is exact
   // whenever the count stays below k (see skyband.h).
-  std::vector<DistVector> resolved;
+  VectorRows resolved(n + attr_dims);
 
   // Region prune: a subtree may be skipped only when k resolved vectors
-  // jointly dominate its optimistic vector.
+  // jointly dominate its optimistic vector. The optimistic vector is
+  // computed through a different FP path than the resolved vectors, so
+  // strictness uses the tie margin (dominance.h).
+  DistVector lb(n + attr_dims);  // scratch, rebuilt per entry
   auto prune = [&](const RTreeEntry& entry, bool is_leaf) {
     if (resolved.size() < k) return false;
-    DistVector lb;
-    lb.reserve(n + attr_dims);
     for (std::size_t i = 0; i < n; ++i) {
-      lb.push_back(entry.mbr.MinDist(query_points[i]));
+      lb[i] = entry.mbr.MinDist(query_points[i]);
     }
     if (attr_dims > 0) {
       if (is_leaf) {
         const DistVector attrs = dataset.StaticAttributesOf(entry.id);
-        lb.insert(lb.end(), attrs.begin(), attrs.end());
+        std::copy(attrs.begin(), attrs.end(), lb.begin() + n);
       } else {
-        lb.insert(lb.end(), min_attrs.begin(), min_attrs.end());
+        std::copy(min_attrs.begin(), min_attrs.end(), lb.begin() + n);
       }
     }
-    return CountDominators(lb, resolved, k) >= k;
+    return CountDominators(resolved, lb, kFpTieMargin, k) >= k;
   };
   RTreeNnBrowser browser(dataset.object_rtree, query_points[src], prune);
 
@@ -209,15 +191,13 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
     entry.object = cand.object;
     entry.vector = vec;
     provisional.push_back(std::move(entry));
-    resolved.push_back(std::move(vec));
+    resolved.Append(vec);
   }
 
   // Exact counts against the full resolved set (repairs tie ordering).
   for (SkybandResult::Entry& entry : provisional) {
-    std::size_t count = 0;
-    for (const DistVector& other : resolved) {
-      if (Dominates(other, entry.vector)) ++count;
-    }
+    const std::size_t count =
+        CountDominators(resolved, entry.vector, 0.0, resolved.size());
     entry.dominator_count = count;
     if (count < k) result.entries.push_back(std::move(entry));
   }

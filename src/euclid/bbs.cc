@@ -15,42 +15,42 @@ EuclideanSkylineBrowser::EuclideanSkylineBrowser(const RTree* tree,
       queries_(std::move(queries)),
       prune_(std::move(prune)),
       attr_of_(std::move(attr_of)),
-      min_attrs_(std::move(min_attrs)) {
+      min_attrs_(std::move(min_attrs)),
+      reported_(queries_.size() + (attr_of_ ? min_attrs_.size() : 0)) {
   MSQ_CHECK(tree != nullptr);
   MSQ_CHECK(!queries_.empty());
   EnqueueNode(tree_->root_page());
 }
 
-DistVector EuclideanSkylineBrowser::LowerBoundVector(const RTreeEntry& entry,
-                                                     bool is_leaf) const {
-  DistVector lb;
-  lb.reserve(queries_.size() + min_attrs_.size());
-  for (const Point& q : queries_) lb.push_back(entry.mbr.MinDist(q));
+void EuclideanSkylineBrowser::LowerBoundVector(const RTreeEntry& entry,
+                                               bool is_leaf,
+                                               DistVector* lb) const {
+  lb->clear();
+  for (const Point& q : queries_) lb->push_back(entry.mbr.MinDist(q));
   if (attr_of_) {
     if (is_leaf) {
       const DistVector attrs = attr_of_(entry.id);
-      lb.insert(lb.end(), attrs.begin(), attrs.end());
+      lb->insert(lb->end(), attrs.begin(), attrs.end());
     } else {
-      lb.insert(lb.end(), min_attrs_.begin(), min_attrs_.end());
+      lb->insert(lb->end(), min_attrs_.begin(), min_attrs_.end());
     }
   }
-  return lb;
 }
 
 bool EuclideanSkylineBrowser::DominatedByReported(const DistVector& lb) const {
-  for (const DistVector& s : reported_) {
-    if (Dominates(s, lb)) return true;
-  }
-  return false;
+  return FirstDominator(reported_, lb, 0.0) < reported_.size();
 }
 
 void EuclideanSkylineBrowser::EnqueueNode(PageId page) {
   const RTreeNode node = tree_->ReadNode(page);
   for (const RTreeEntry& e : node.entries) {
-    QueueItem item;
-    item.lower_bound = LowerBoundVector(e, node.is_leaf);
-    if (DominatedByReported(item.lower_bound)) continue;
+    // Dominated entries are dropped before their bound is copied out of
+    // the scratch vector.
+    LowerBoundVector(e, node.is_leaf, &scratch_lb_);
+    if (DominatedByReported(scratch_lb_)) continue;
     if (prune_ && prune_(e, node.is_leaf)) continue;
+    QueueItem item;
+    item.lower_bound = scratch_lb_;
     item.mindist_sum = std::accumulate(item.lower_bound.begin(),
                                        item.lower_bound.end(), 0.0);
     item.is_node = !node.is_leaf;
@@ -78,7 +78,7 @@ EuclideanSkylineBrowser::Item EuclideanSkylineBrowser::Next() {
     item.object = top.entry.id;
     item.position = top.entry.mbr.Center();
     item.vector = std::move(top.lower_bound);
-    reported_.push_back(item.vector);
+    reported_.Append(item.vector);
     return item;
   }
   return Item{};

@@ -54,9 +54,6 @@ class EuclideanSkylineBrowser {
   // or found=false when exhausted.
   Item Next();
 
-  // Distance vectors of the skyline points reported so far.
-  const std::vector<DistVector>& reported() const { return reported_; }
-
  private:
   struct QueueItem {
     Dist mindist_sum;
@@ -71,8 +68,9 @@ class EuclideanSkylineBrowser {
     }
   };
 
-  // Lower-bound vector of an entry (exact for leaf points).
-  DistVector LowerBoundVector(const RTreeEntry& entry, bool is_leaf) const;
+  // Lower-bound vector of an entry (exact for leaf points), into `lb`.
+  void LowerBoundVector(const RTreeEntry& entry, bool is_leaf,
+                        DistVector* lb) const;
   bool DominatedByReported(const DistVector& lb) const;
   void EnqueueNode(PageId page);
 
@@ -82,7 +80,8 @@ class EuclideanSkylineBrowser {
   AttributeProvider attr_of_;
   DistVector min_attrs_;
   std::priority_queue<QueueItem, std::vector<QueueItem>, QueueCmp> queue_;
-  std::vector<DistVector> reported_;
+  VectorRows reported_;  // vectors of the skyline points reported so far
+  DistVector scratch_lb_;
 };
 
 }  // namespace msq

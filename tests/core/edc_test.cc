@@ -81,14 +81,14 @@ TEST(EdcTest, DenseNetworkSmallCandidateSet) {
   EXPECT_LT(result.stats.candidate_count, workload->objects().size());
 }
 
-// Demonstrates the published algorithm's intrinsic incompleteness (see
-// EdcOptions::paper_faithful): a network skyline point that is (a) not a
-// Euclidean skyline point and (b) outside every shifted hypercube window is
-// never fetched. Construction: object e Euclid-dominates o, but a winding
-// road makes e network-far from q2 while o has a fast road — o becomes an
-// incomparable network skyline point with dE(o,q1) > dN(e,q1), placing it
-// outside e's window.
-TEST(EdcTest, KnownLimitationPaperFaithfulMissesIncomparablePoint) {
+// A high-detour instance on which the published algorithm is incomplete
+// (see EdcOptions::paper_faithful): a network skyline point that is (a) not
+// a Euclidean skyline point and (b) outside every shifted hypercube window
+// is never fetched. Construction: object e Euclid-dominates o, but a
+// winding road makes e network-far from q2 while o has a fast road — o
+// becomes an incomparable network skyline point with dE(o,q1) > dN(e,q1),
+// placing it outside e's window.
+std::unique_ptr<Workload> MakeDetourWorkload(SkylineQuerySpec* spec) {
   RoadNetwork network;
   const NodeId q1_node = network.AddNode({0.0, 0.0});
   const NodeId pe = network.AddNode({0.1, 0.0});
@@ -101,10 +101,14 @@ TEST(EdcTest, KnownLimitationPaperFaithfulMissesIncomparablePoint) {
   network.Finalize();
 
   // e at node pe (end of the winding road), o at node po.
-  auto workload = testing::MakeWorkload(std::move(network),
-                                        {{q1_pe, 0.15}, {q1_po, 0.2}});
+  spec->sources = {{q1_pe, 0.0}, {pe_q2, 9.85}};  // at q1_node and q2_node
+  return testing::MakeWorkload(std::move(network),
+                               {{q1_pe, 0.15}, {q1_po, 0.2}});
+}
+
+TEST(EdcTest, KnownLimitationPaperFaithfulMissesIncomparablePoint) {
   SkylineQuerySpec spec;
-  spec.sources = {{q1_pe, 0.0}, {pe_q2, 9.85}};  // at q1_node and q2_node
+  auto workload = MakeDetourWorkload(&spec);
 
   // Ground truth: both objects are network skyline points.
   const auto naive = RunNaive(workload->dataset(), spec);
@@ -122,6 +126,80 @@ TEST(EdcTest, KnownLimitationPaperFaithfulMissesIncomparablePoint) {
                                     EdcOptions{.incremental = true});
   EXPECT_EQ(testing::SkylineIds(completed_inc),
             (std::vector<ObjectId>{0, 1}));
+}
+
+// The completion pass runs FetchUndominatedRegion once (DESIGN.md §4b).
+// Both variants must still equal the oracle, and fetch and settle exactly
+// what the fixpoint loop they replaced did: the candidate counts and
+// settled nodes below were recorded with the loop.
+TEST(EdcTest, SingleCompletionPassMatchesNaiveAndFixpointCounts) {
+  struct Case {
+    std::uint64_t seed;
+    double curvature;
+    std::size_t attr_dims;
+    std::size_t batch_candidates, batch_settled;
+    std::size_t inc_candidates, inc_settled;
+  };
+  const Case kCases[] = {
+      // {seed, curvature, attr_dims, batch C, batch settled, inc C, inc
+      // settled}; curvature 1.5 stretches roads up to 2.5x (high detour).
+      {1, 0.0, 0, 20, 80, 20, 80},
+      {2, 0.0, 0, 8, 39, 8, 39},
+      {3, 0.0, 0, 3, 7, 3, 7},
+      {4, 0.0, 0, 18, 50, 18, 50},
+      {5, 0.0, 0, 15, 41, 15, 41},
+      {6, 0.0, 0, 30, 161, 30, 161},
+      {7, 0.0, 0, 23, 143, 23, 143},
+      {8, 0.0, 0, 32, 107, 32, 107},
+      {9, 0.0, 0, 27, 225, 27, 225},
+      {10, 0.0, 0, 5, 24, 5, 24},
+      {11, 0.0, 0, 17, 66, 17, 66},
+      {12, 0.0, 0, 36, 184, 36, 184},
+      {1, 1.5, 0, 48, 279, 48, 279},
+      {2, 1.5, 0, 23, 162, 23, 162},
+      {3, 1.5, 0, 6, 26, 6, 26},
+      {4, 1.5, 0, 45, 209, 45, 209},
+      {5, 1.5, 0, 41, 218, 41, 218},
+      {6, 1.5, 0, 49, 257, 42, 226},
+      {1, 0.0, 1, 28, 189, 28, 189},
+      {2, 0.0, 1, 16, 101, 16, 101},
+      {3, 0.0, 1, 9, 153, 8, 147},
+      {4, 0.0, 1, 25, 114, 25, 114},
+  };
+  for (const Case& c : kCases) {
+    WorkloadConfig config;
+    config.network = NetworkGenConfig{250, 350, c.seed, c.curvature};
+    config.object_density = 0.4;
+    config.object_seed = c.seed * 31 + 7;
+    config.static_attr_dims = c.attr_dims;
+    Workload workload(config);
+    const auto spec = workload.SampleQuery(3, c.seed);
+    const auto expected = RunNaive(workload.dataset(), spec);
+    const auto batch = RunEdc(workload.dataset(), spec);
+    const auto inc = RunEdc(workload.dataset(), spec,
+                            EdcOptions{.incremental = true});
+    SCOPED_TRACE(::testing::Message() << "seed " << c.seed << " curvature "
+                                    << c.curvature << " attrs "
+                                    << c.attr_dims);
+    EXPECT_EQ(testing::SkylineIds(batch), testing::SkylineIds(expected));
+    EXPECT_EQ(testing::SkylineIds(inc), testing::SkylineIds(expected));
+    EXPECT_EQ(batch.stats.candidate_count, c.batch_candidates);
+    EXPECT_EQ(batch.stats.settled_nodes, c.batch_settled);
+    EXPECT_EQ(inc.stats.candidate_count, c.inc_candidates);
+    EXPECT_EQ(inc.stats.settled_nodes, c.inc_settled);
+  }
+
+  SkylineQuerySpec spec;
+  auto workload = MakeDetourWorkload(&spec);
+  const auto batch = RunEdc(workload->dataset(), spec);
+  const auto inc = RunEdc(workload->dataset(), spec,
+                          EdcOptions{.incremental = true});
+  EXPECT_EQ(testing::SkylineIds(batch), (std::vector<ObjectId>{0, 1}));
+  EXPECT_EQ(testing::SkylineIds(inc), (std::vector<ObjectId>{0, 1}));
+  EXPECT_EQ(batch.stats.candidate_count, 2u);
+  EXPECT_EQ(batch.stats.settled_nodes, 4u);
+  EXPECT_EQ(inc.stats.candidate_count, 2u);
+  EXPECT_EQ(inc.stats.settled_nodes, 4u);
 }
 
 TEST(EdcTest, PaperFaithfulOftenExactOnLowDetourNetworks) {
