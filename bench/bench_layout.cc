@@ -132,7 +132,7 @@ void MeasurePoint(Workload& workload,
         RunSkylineQuery(Algorithm::kCe, workload.dataset(), spec);
     pages += result.stats.network_pages;
     accesses += result.stats.network_page_accesses;
-    settled += result.stats.settled_nodes;
+    settled += result.stats.counters.settled_nodes;
     wall += result.stats.total_seconds;
     latency_hist.Observe(static_cast<std::uint64_t>(
         std::llround(result.stats.total_seconds * 1e6)));

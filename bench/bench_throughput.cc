@@ -248,8 +248,9 @@ WorkloadReport RunOne(NetworkClass cls, const BenchEnv& env,
           static_cast<double>(results.size()) / point.warm_wall_seconds;
       for (std::size_t i = 0; i < results.size(); ++i) {
         point.warm_network_accesses += results[i].stats.network_page_accesses;
-        point.warm_wavefront_hits += results[i].stats.cache_wavefront_hits;
-        point.warm_memo_hits += results[i].stats.cache_memo_hits;
+        point.warm_wavefront_hits +=
+            results[i].stats.counters.cache_wavefront_hits;
+        point.warm_memo_hits += results[i].stats.counters.cache_memo_hits;
         point.warm_matches_oracle =
             point.warm_matches_oracle && SameSkyline(results[i], oracle[i]);
       }

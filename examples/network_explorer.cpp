@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.stats.network_pages));
   std::printf("index pages:     %llu\n",
               static_cast<unsigned long long>(result.stats.index_pages));
-  std::printf("settled nodes:   %zu\n", result.stats.settled_nodes);
+  std::printf("settled nodes:   %zu\n", result.stats.counters.settled_nodes);
   std::printf("total time:      %.2f ms\n",
               result.stats.total_seconds * 1000.0);
   std::printf("initial result:  %.2f ms\n",

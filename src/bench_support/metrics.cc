@@ -30,7 +30,7 @@ void StatsAccumulator::Add(const QueryStats& stats) {
   skyline_.Add(static_cast<double>(stats.skyline_size));
   network_pages_.Add(static_cast<double>(stats.network_pages));
   index_pages_.Add(static_cast<double>(stats.index_pages));
-  settled_.Add(static_cast<double>(stats.settled_nodes));
+  settled_.Add(static_cast<double>(stats.counters.settled_nodes));
   total_seconds_.Add(stats.total_seconds);
   initial_seconds_.Add(stats.initial_seconds);
 }
@@ -51,7 +51,7 @@ std::string QueryStatsJsonLine(const std::string& label,
       static_cast<unsigned long long>(stats.network_page_accesses),
       static_cast<unsigned long long>(stats.index_pages),
       static_cast<unsigned long long>(stats.index_page_accesses),
-      stats.settled_nodes, stats.total_seconds, stats.initial_seconds);
+      stats.counters.settled_nodes, stats.total_seconds, stats.initial_seconds);
   return buf;
 }
 

@@ -85,8 +85,7 @@ AggregateNnResult RunAggregateNnNaive(const Dataset& dataset,
   StatsScope scope(dataset, spec.trace, "ann.naive");
   AggregateNnResult result;
 
-  std::size_t settled = 0;
-  const auto vectors = ComputeAllNetworkVectors(dataset, spec, &settled);
+  const auto vectors = ComputeAllNetworkVectors(dataset, spec);
   TopK top_k(k);
   for (ObjectId id = 0; id < vectors.size(); ++id) {
     AggregateNnResult::Entry entry;
@@ -97,7 +96,6 @@ AggregateNnResult RunAggregateNnNaive(const Dataset& dataset,
   }
   result.entries = top_k.Extract();
   result.stats.candidate_count = dataset.object_count();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }
@@ -175,9 +173,6 @@ AggregateNnResult RunAggregateNnIer(const Dataset& dataset,
   }
 
   result.entries = top_k.Extract();
-  std::size_t settled = 0;
-  for (const auto& search : searches) settled += search->settled_count();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }

@@ -372,12 +372,9 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   finalize_span.Close();
 
   result.stats.skyline_size = result.skyline.size();
-  // Cost accounting counts only this run's expansion: a stream resumed
-  // from a cached wavefront inherits the snapshot's settled set without
-  // paying for it (the plan's per-source view reports the total extent).
-  std::size_t settled = 0;
-  for (const auto& stream : streams) settled += stream->fresh_settled_count();
-  result.stats.settled_nodes = settled;
+  // QueryStats counts only this run's settles (a stream resumed from a
+  // cached wavefront inherits the snapshot's settled set without bumping
+  // the counter); the plan's per-source view reports the total extent.
   if (spec.plan != nullptr) {
     for (std::size_t q = 0; q < n; ++q) {
       spec.plan->RecordSource(q, streams[q]->settled_count(), radius[q],
@@ -603,9 +600,6 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   result.stats.skyline_size = result.skyline.size();
   // As in the generalized path: stats count only this run's settles, the
   // plan's per-source view reports the full wavefront extent.
-  std::size_t settled = 0;
-  for (const auto& stream : streams) settled += stream->fresh_settled_count();
-  result.stats.settled_nodes = settled;
   if (spec.plan != nullptr) {
     for (std::size_t q = 0; q < n; ++q) {
       spec.plan->RecordSource(q, streams[q]->settled_count(),

@@ -23,9 +23,7 @@ SkylineResult RunConstrainedSkylineNaive(const Dataset& dataset,
   SkylineResult result;
 
   const std::size_t n = spec.sources.size();
-  std::size_t settled = 0;
-  std::vector<DistVector> vectors =
-      ComputeAllNetworkVectors(dataset, spec, &settled);
+  std::vector<DistVector> vectors = ComputeAllNetworkVectors(dataset, spec);
 
   // Constraint first: collect the in-range objects.
   std::vector<ObjectId> in_range;
@@ -55,7 +53,6 @@ SkylineResult RunConstrainedSkylineNaive(const Dataset& dataset,
   }
   result.stats.candidate_count = dataset.object_count();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }
@@ -259,11 +256,6 @@ SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
   result.skyline = RemoveTieDominated(std::move(result.skyline), skyline_rows);
 
   result.stats.skyline_size = result.skyline.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }

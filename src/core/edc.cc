@@ -280,12 +280,6 @@ class EdcRunner {
     return skyline;
   }
 
-  std::size_t TotalSettled() const {
-    std::size_t total = 0;
-    for (const auto& search : searches_) total += search->settled_count();
-    return total;
-  }
-
   // Final wavefront progress of every source (ExecutionPlan). No-op
   // without a plan collector.
   void RecordSources() const {
@@ -327,7 +321,6 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
     result.skyline.clear();
     result.truncated = true;
     result.truncation_reason = guard.reason();
-    result.stats.settled_nodes = runner.TotalSettled();
     runner.RecordSources();
     scope.Finish(&result.stats);
     return result;
@@ -400,7 +393,6 @@ SkylineResult RunEdcBatch(const Dataset& dataset,
 
   result.stats.candidate_count = order.size();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = runner.TotalSettled();
   // Everything never fetched was excluded by the Euclid-constraint
   // region bounds without any network work.
   CountBoundPruned(dataset.object_count() - order.size());
@@ -517,7 +509,6 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
   if (result.truncated) {
     result.stats.candidate_count = order.size();
     result.stats.skyline_size = result.skyline.size();
-    result.stats.settled_nodes = runner.TotalSettled();
     runner.RecordSources();
     scope.Finish(&result.stats);
     return result;
@@ -542,7 +533,6 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
 
   result.stats.candidate_count = order.size();
   result.stats.skyline_size = result.skyline.size();
-  result.stats.settled_nodes = runner.TotalSettled();
   // See RunEdcBatch: never-fetched objects were pruned by the
   // Euclid-constraint region bounds.
   CountBoundPruned(dataset.object_count() - order.size());

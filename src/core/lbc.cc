@@ -473,11 +473,6 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
   }
 
   result.stats.skyline_size = result.skyline.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   if (spec.plan != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       spec.plan->RecordSource(

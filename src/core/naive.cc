@@ -5,12 +5,11 @@
 namespace msq {
 
 std::vector<DistVector> ComputeAllNetworkVectors(
-    const Dataset& dataset, const SkylineQuerySpec& spec,
-    std::size_t* settled_out, QueryGuard* guard, bool* truncated) {
+    const Dataset& dataset, const SkylineQuerySpec& spec, QueryGuard* guard,
+    bool* truncated) {
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
   std::vector<DistVector> vectors(m, DistVector(n, kInfDist));
-  std::size_t settled = 0;
   bool cut = false;
   for (std::size_t qi = 0; qi < n && !cut; ++qi) {
     // Drain a full NN stream: one Dijkstra sweep per query point reaches
@@ -28,7 +27,6 @@ std::vector<DistVector> ComputeAllNetworkVectors(
         break;
       }
     }
-    settled += stream.settled_count();
     if (spec.plan != nullptr) {
       // Naive computes every distance from scratch — all lookups land in
       // the "computed" tier and no bound ever prunes.
@@ -36,7 +34,6 @@ std::vector<DistVector> ComputeAllNetworkVectors(
       spec.plan->RecordSource(qi, stream.settled_count(), radius, false);
     }
   }
-  if (settled_out != nullptr) *settled_out = settled;
   if (truncated != nullptr) *truncated = cut;
   return vectors;
 }
@@ -50,11 +47,9 @@ SkylineResult RunNaiveBody(const Dataset& dataset,
   SkylineResult result;
   QueryGuard guard(dataset, spec.limits);
 
-  std::size_t settled = 0;
   bool cut = false;
   std::vector<DistVector> vectors =
-      ComputeAllNetworkVectors(dataset, spec, &settled, &guard, &cut);
-  result.stats.settled_nodes = settled;
+      ComputeAllNetworkVectors(dataset, spec, &guard, &cut);
   if (cut) {
     // Batch algorithm: an incomplete distance matrix cannot confirm any
     // skyline point, so a truncated run returns an empty, flagged result.

@@ -18,15 +18,12 @@ SkylineResult RunNaive(const Dataset& dataset, const SkylineQuerySpec& spec,
 
 // Exposed for tests: the full |Q| x |D| network distance matrix, one
 // DistVector (query-point distances only, no static attributes) per
-// object. When `settled_out` is non-null it receives the total number of
-// network nodes settled across the per-query-point sweeps. When `guard` is
-// non-null the sweeps stop early once the guard trips; `*truncated` (when
-// non-null) reports whether that happened — a truncated matrix is
-// incomplete and must not feed a skyline pass.
+// object. When `guard` is non-null the sweeps stop early once the guard
+// trips; `*truncated` (when non-null) reports whether that happened — a
+// truncated matrix is incomplete and must not feed a skyline pass.
 std::vector<DistVector> ComputeAllNetworkVectors(
     const Dataset& dataset, const SkylineQuerySpec& spec,
-    std::size_t* settled_out = nullptr, QueryGuard* guard = nullptr,
-    bool* truncated = nullptr);
+    QueryGuard* guard = nullptr, bool* truncated = nullptr);
 
 }  // namespace msq
 

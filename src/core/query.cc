@@ -73,30 +73,48 @@ Status ValidateQuery(const Dataset& dataset, const SkylineQuerySpec& spec) {
 
 namespace {
 
-// `buffer`'s miss/access counts as seen by the calling thread. Pools
-// attached to a query-stack role (Workload's two pools) are read from the
-// thread-local counter block, which is exact per query even while other
-// executor workers hammer the same pools; unattached pools (raw test
-// setups) fall back to pool-wide totals, which are exact only when the
-// pool is used from one thread — the historical behavior.
-void ThreadBufferCounts(const BufferManager& buffer, std::uint64_t* misses,
-                        std::uint64_t* accesses) {
-  const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
-  switch (buffer.role()) {
+// `buffer`'s hit/miss rows as a query window on the calling thread sees
+// them. Pools attached to a query-stack role (Workload's two pools) are
+// read from the thread-local counter block, which is exact per query even
+// while other executor workers hammer the same pools; unattached pools
+// (raw test setups) fall back to pool-wide totals, which are exact only
+// when the pool is used from one thread — the historical behavior. An
+// absent pool reads zero.
+void WindowBufferRows(const BufferManager* buffer,
+                      const obs::ThreadCounters& tc, std::uint64_t* hits,
+                      std::uint64_t* misses) {
+  if (buffer == nullptr) {
+    *hits = 0;
+    *misses = 0;
+    return;
+  }
+  switch (buffer->role()) {
     case BufferRole::kNetwork:
+      *hits = tc.network_hits;
       *misses = tc.network_misses;
-      *accesses = tc.network_accesses();
       return;
     case BufferRole::kIndex:
+      *hits = tc.index_hits;
       *misses = tc.index_misses;
-      *accesses = tc.index_accesses();
       return;
     case BufferRole::kNone:
       break;
   }
-  const BufferStats stats = buffer.stats();
+  const BufferStats stats = buffer->stats();
+  *hits = stats.hits;
   *misses = stats.misses;
-  *accesses = stats.accesses();
+}
+
+// The calling thread's counter block with the buffer rows taken per
+// WindowBufferRows for the dataset's two pools.
+obs::Counters WindowCounters(const Dataset& dataset) {
+  const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
+  obs::Counters counters = tc;
+  WindowBufferRows(dataset.graph_buffer, tc, &counters.network_hits,
+                   &counters.network_misses);
+  WindowBufferRows(dataset.index_buffer, tc, &counters.index_hits,
+                   &counters.index_misses);
+  return counters;
 }
 
 }  // namespace
@@ -108,17 +126,8 @@ QueryGuard::QueryGuard(const Dataset& dataset, const QueryLimits& limits)
 }
 
 std::uint64_t QueryGuard::PageAccesses() const {
-  std::uint64_t accesses = 0;
-  std::uint64_t misses = 0, count = 0;
-  if (dataset_.graph_buffer != nullptr) {
-    ThreadBufferCounts(*dataset_.graph_buffer, &misses, &count);
-    accesses += count;
-  }
-  if (dataset_.index_buffer != nullptr) {
-    ThreadBufferCounts(*dataset_.index_buffer, &misses, &count);
-    accesses += count;
-  }
-  return accesses;
+  const obs::Counters counters = WindowCounters(dataset_);
+  return counters.network_accesses() + counters.index_accesses();
 }
 
 bool QueryGuard::Exceeded() {
@@ -149,28 +158,8 @@ double MonotonicSeconds() {
 StatsScope::StatsScope(const Dataset& dataset, obs::TraceSession* trace,
                        std::string_view root_name)
     : dataset_(dataset), current_session_(trace),
-      root_span_(trace, root_name) {
-  if (dataset.graph_buffer != nullptr) {
-    ThreadBufferCounts(*dataset.graph_buffer, &graph_misses_0_,
-                       &graph_accesses_0_);
-  }
-  if (dataset.index_buffer != nullptr) {
-    ThreadBufferCounts(*dataset.index_buffer, &index_misses_0_,
-                       &index_accesses_0_);
-  }
-  const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
-  cache_wf_hits_0_ = tc.cache_wavefront_hits;
-  cache_wf_misses_0_ = tc.cache_wavefront_misses;
-  cache_memo_hits_0_ = tc.cache_memo_hits;
-  cache_memo_misses_0_ = tc.cache_memo_misses;
-  dominance_tests_0_ = tc.dominance_tests;
-  dominance_avoided_0_ = tc.dominance_avoided;
-  bound_pruned_0_ = tc.bound_pruned;
-  bound_examined_0_ = tc.bound_examined;
-  bound_samples_0_ = tc.bound_samples;
-  bound_pct_sum_0_ = tc.bound_pct_sum;
-  start_ = MonotonicSeconds();
-}
+      root_span_(trace, root_name), counters_0_(WindowCounters(dataset)),
+      start_(MonotonicSeconds()) {}
 
 void StatsScope::MarkInitial() {
   if (initial_ < 0.0) initial_ = MonotonicSeconds() - start_;
@@ -182,35 +171,11 @@ void StatsScope::Finish(QueryStats* stats) {
   root_span_.Close();
   stats->total_seconds = MonotonicSeconds() - start_;
   stats->initial_seconds = initial_ >= 0.0 ? initial_ : stats->total_seconds;
-  std::uint64_t misses = 0, accesses = 0;
-  if (dataset_.graph_buffer != nullptr) {
-    ThreadBufferCounts(*dataset_.graph_buffer, &misses, &accesses);
-    stats->network_pages = misses - graph_misses_0_;
-    stats->network_page_accesses = accesses - graph_accesses_0_;
-    MSQ_CHECK(stats->network_page_accesses >= stats->network_pages);
-  }
-  if (dataset_.index_buffer != nullptr) {
-    ThreadBufferCounts(*dataset_.index_buffer, &misses, &accesses);
-    stats->index_pages = misses - index_misses_0_;
-    stats->index_page_accesses = accesses - index_accesses_0_;
-    MSQ_CHECK(stats->index_page_accesses >= stats->index_pages);
-  }
-  // Cache consultations are a separate access class (never part of the
-  // page counters above); the same thread-local delta discipline keeps
-  // them exact per query under a concurrent executor.
-  const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
-  stats->cache_wavefront_hits = tc.cache_wavefront_hits - cache_wf_hits_0_;
-  stats->cache_wavefront_misses =
-      tc.cache_wavefront_misses - cache_wf_misses_0_;
-  stats->cache_memo_hits = tc.cache_memo_hits - cache_memo_hits_0_;
-  stats->cache_memo_misses = tc.cache_memo_misses - cache_memo_misses_0_;
-  stats->dominance_tests = tc.dominance_tests - dominance_tests_0_;
-  stats->dominance_tests_avoided =
-      tc.dominance_avoided - dominance_avoided_0_;
-  stats->bound_pruned = tc.bound_pruned - bound_pruned_0_;
-  stats->bound_examined = tc.bound_examined - bound_examined_0_;
-  stats->bound_tightness_samples = tc.bound_samples - bound_samples_0_;
-  stats->bound_tightness_pct_sum = tc.bound_pct_sum - bound_pct_sum_0_;
+  stats->counters = WindowCounters(dataset_) - counters_0_;
+  stats->network_pages = stats->counters.network_misses;
+  stats->network_page_accesses = stats->counters.network_accesses();
+  stats->index_pages = stats->counters.index_misses;
+  stats->index_page_accesses = stats->counters.index_accesses();
 }
 
 }  // namespace msq

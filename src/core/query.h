@@ -142,11 +142,21 @@ struct SkylineEntry {
 
 // Per-query cost metrics, aligned with the paper's measurements.
 //
+// `counters` holds every row of the obs/metrics.h counter table as a delta
+// over the query window: buffer hits/misses, settled nodes (the paper's
+// network node accesses, Section 5), dominance tests (its canonical CPU
+// cost) and the other pruning-power rows (DESIGN.md §17), and cache
+// consultations. Spans, plans and flight records carry the same block, so
+// they reconcile with it row by row.
+//
 // The `*_pages` fields count buffer MISSES — physical page reads, the
 // paper's "disk pages accessed" of Figures 5 and 6. The `*_page_accesses`
 // fields count every buffer lookup (hits + misses), so
-// `*_page_accesses >= *_pages` always holds (asserted in
-// StatsScope::Finish); the difference is the buffer pool's hit traffic.
+// `*_page_accesses >= *_pages` always holds; the difference is the buffer
+// pool's hit traffic. They are the counters' buffer rows, except that a
+// pool not attached to a query-stack role is read from its own pool-wide
+// totals (exact only single-threaded) — the buffer rows of `counters` then
+// carry the same pool-wide view.
 struct QueryStats {
   std::size_t candidate_count = 0;     // |C| (Figure 4)
   std::size_t skyline_size = 0;
@@ -154,31 +164,9 @@ struct QueryStats {
   std::uint64_t network_page_accesses = 0;  // adjacency hits + misses
   std::uint64_t index_pages = 0;       // index-page buffer misses
   std::uint64_t index_page_accesses = 0;    // index hits + misses
-  std::size_t settled_nodes = 0;       // network node accesses (Section 5)
   double total_seconds = 0.0;          // Figures 5(b)/6(b)/6(e)
   double initial_seconds = 0.0;        // Figures 5(c)/6(c)/6(f)
-  // Cross-query cache consultations (cache/query_cache.h) — an access
-  // class of their own: a cache hit never touches a buffer pool and is
-  // never counted in the page fields above.
-  std::uint64_t cache_wavefront_hits = 0;
-  std::uint64_t cache_wavefront_misses = 0;
-  std::uint64_t cache_memo_hits = 0;
-  std::uint64_t cache_memo_misses = 0;
-  // Pruning-power accounting (DESIGN.md §17): thread-local counter deltas
-  // over the query window, like the cache fields. `dominance_tests` is the
-  // paper's canonical cost metric; `dominance_tests_avoided` counts
-  // pairwise comparisons early exits and bound prunes made unnecessary.
-  // `bound_pruned`/`bound_examined` partition candidates by whether a
-  // lower bound eliminated them without exact distances.
-  // `bound_tightness_samples`/`bound_tightness_pct_sum` summarize the
-  // plb/dN ratios observed at exact-completion sites (mean tightness =
-  // pct_sum / samples, in percent).
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_tests_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_tightness_samples = 0;
-  std::uint64_t bound_tightness_pct_sum = 0;
+  obs::Counters counters;
 };
 
 struct SkylineResult {
@@ -295,7 +283,7 @@ SkylineResult RunQueryBody(const Dataset& dataset,
   return result;
 }
 
-// Stopwatch + buffer snapshot helper used by all algorithms to fill
+// Stopwatch + counter-block snapshot used by all algorithms to fill
 // QueryStats uniformly. When a TraceSession is supplied it also opens the
 // query's root span (named `root_name`) for the same window the stats
 // cover, so span counter deltas reconcile exactly with QueryStats; the
@@ -308,7 +296,8 @@ class StatsScope {
 
   // Marks the moment the first skyline point was reported.
   void MarkInitial();
-  // Finalizes timing/I-O counters into `*stats` and closes the root span.
+  // Closes the root span and writes the timing, every counter row (the
+  // window's delta) and the page fields into `*stats`.
   void Finish(QueryStats* stats);
 
  private:
@@ -318,20 +307,9 @@ class StatsScope {
   // can attach detail spans via obs::DetailSpan without a plumbed pointer.
   obs::ScopedCurrentSession current_session_;
   obs::Span root_span_;
-  std::uint64_t graph_misses_0_ = 0;
-  std::uint64_t graph_accesses_0_ = 0;
-  std::uint64_t index_misses_0_ = 0;
-  std::uint64_t index_accesses_0_ = 0;
-  std::uint64_t cache_wf_hits_0_ = 0;
-  std::uint64_t cache_wf_misses_0_ = 0;
-  std::uint64_t cache_memo_hits_0_ = 0;
-  std::uint64_t cache_memo_misses_0_ = 0;
-  std::uint64_t dominance_tests_0_ = 0;
-  std::uint64_t dominance_avoided_0_ = 0;
-  std::uint64_t bound_pruned_0_ = 0;
-  std::uint64_t bound_examined_0_ = 0;
-  std::uint64_t bound_samples_0_ = 0;
-  std::uint64_t bound_pct_sum_0_ = 0;
+  // The query window's counters at construction (see WindowCounters in
+  // query.cc for the pool-attachment rules).
+  obs::Counters counters_0_;
   double start_ = 0.0;
   double initial_ = -1.0;
 };

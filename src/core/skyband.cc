@@ -39,9 +39,7 @@ SkybandResult RunSkybandNaive(const Dataset& dataset,
   StatsScope scope(dataset, spec.trace, "skyband.naive");
   SkybandResult result;
 
-  std::size_t settled = 0;
-  std::vector<DistVector> vectors =
-      ComputeAllNetworkVectors(dataset, spec, &settled);
+  std::vector<DistVector> vectors = ComputeAllNetworkVectors(dataset, spec);
   if (dataset.static_dims() > 0) {
     for (ObjectId id = 0; id < vectors.size(); ++id) {
       const DistVector attrs = dataset.StaticAttributesOf(id);
@@ -65,7 +63,6 @@ SkybandResult RunSkybandNaive(const Dataset& dataset,
             });
   result.stats.candidate_count = dataset.object_count();
   result.stats.skyline_size = result.entries.size();
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }
@@ -210,11 +207,6 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
             });
 
   result.stats.skyline_size = result.entries.size();
-  std::size_t settled = 0;
-  for (const auto& search : searches) {
-    if (search != nullptr) settled += search->settled_count();
-  }
-  result.stats.settled_nodes = settled;
   scope.Finish(&result.stats);
   return result;
 }

@@ -33,21 +33,7 @@ obs::FlightRecord MakeFlightRecord(Algorithm algorithm,
   record.source_count = static_cast<std::uint32_t>(spec.sources.size());
   record.skyline_size = result.skyline.size();
   record.wall_seconds = result.stats.total_seconds;
-  record.network_hits = after.network_hits - before.network_hits;
-  record.network_misses = after.network_misses - before.network_misses;
-  record.index_hits = after.index_hits - before.index_hits;
-  record.index_misses = after.index_misses - before.index_misses;
-  record.settled_nodes = after.settled_nodes - before.settled_nodes;
-  record.dominance_tests = after.dominance_tests - before.dominance_tests;
-  record.dominance_avoided =
-      after.dominance_avoided - before.dominance_avoided;
-  record.bound_samples = after.bound_samples - before.bound_samples;
-  record.bound_pct_sum = after.bound_pct_sum - before.bound_pct_sum;
-  record.cache_hits = (after.cache_wavefront_hits + after.cache_memo_hits) -
-                      (before.cache_wavefront_hits + before.cache_memo_hits);
-  record.cache_misses =
-      (after.cache_wavefront_misses + after.cache_memo_misses) -
-      (before.cache_wavefront_misses + before.cache_memo_misses);
+  record.counters = after - before;
   return record;
 }
 

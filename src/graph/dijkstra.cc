@@ -50,7 +50,6 @@ DijkstraSearch::DijkstraSearch(const GraphPager* pager, Location source,
   settled_ = checkpoint.settled;
   heap_ = checkpoint.frontier;
   settled_count_ = checkpoint.settled_count;
-  resumed_settled_count_ = checkpoint.settled_count;
 }
 
 DijkstraSearch::Checkpoint DijkstraSearch::MakeCheckpoint() const {

@@ -95,14 +95,6 @@ class DijkstraSearch {
   // includes the checkpoint's settles — the total wavefront extent.
   std::size_t settled_count() const { return settled_count_; }
 
-  // Nodes settled by THIS search instance, excluding any inherited from a
-  // resume checkpoint. This is the quantity that matches the per-thread
-  // graph.settled_nodes counter (QueryStats cost accounting must use it:
-  // a resumed query did not pay for the snapshot's expansion).
-  std::size_t fresh_settled_count() const {
-    return settled_count_ - resumed_settled_count_;
-  }
-
   const Location& source() const { return source_; }
 
  private:
@@ -121,7 +113,6 @@ class DijkstraSearch {
   // directly checkpointable.
   std::vector<HeapItem> heap_;
   std::size_t settled_count_ = 0;
-  std::size_t resumed_settled_count_ = 0;
   std::vector<AdjacencyEntry> scratch_adjacency_;
 };
 

@@ -69,12 +69,6 @@ class NetworkNnStream {
   // includes a resumed snapshot's settles).
   std::size_t settled_count() const { return search_.settled_count(); }
 
-  // Settles this stream instance paid for itself (excludes the resumed
-  // snapshot's), matching the graph.settled_nodes counter window.
-  std::size_t fresh_settled_count() const {
-    return search_.fresh_settled_count();
-  }
-
   // Snapshot of the current stream state for the cross-query cache.
   Snapshot MakeSnapshot() const;
 

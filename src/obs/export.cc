@@ -78,10 +78,8 @@ std::string ToChromeTrace(const QueryProfile& profile) {
     AppendF(&out, ",\"index_misses\":%" PRIu64, span.self.index_misses);
     AppendF(&out, ",\"settled_nodes\":%" PRIu64, span.self.settled_nodes);
     AppendF(&out, ",\"dominance_tests\":%" PRIu64, span.self.dominance_tests);
-    AppendF(&out, ",\"cache_hits\":%" PRIu64,
-            span.self.cache_wavefront_hits + span.self.cache_memo_hits);
-    AppendF(&out, ",\"cache_misses\":%" PRIu64,
-            span.self.cache_wavefront_misses + span.self.cache_memo_misses);
+    AppendF(&out, ",\"cache_hits\":%" PRIu64, span.self.cache_hits());
+    AppendF(&out, ",\"cache_misses\":%" PRIu64, span.self.cache_misses());
     AppendF(&out, ",\"heap_peak\":%.0f", span.heap_peak);
     out += "}}";
   }
@@ -97,7 +95,7 @@ std::string ProfileReport(const QueryProfile& profile) {
     std::size_t calls = 0;
     double wall = 0.0;
     double self_wall = 0.0;
-    SpanCounters self;
+    Counters self;
     double heap_peak = 0.0;
   };
   std::map<std::string, Agg> by_name;
@@ -125,7 +123,7 @@ std::string ProfileReport(const QueryProfile& profile) {
   AppendF(&out, "%-28s %7s %10s %10s %9s %9s %9s %9s %9s %9s %9s %9s\n",
           "span", "calls", "wall ms", "self ms", "net.miss", "net.hit",
           "idx.miss", "idx.hit", "settled", "dom.test", "c.hit", "c.miss");
-  SpanCounters total;
+  Counters total;
   for (const auto* row : rows) {
     const Agg& agg = row->second;
     total += agg.self;
@@ -139,8 +137,7 @@ std::string ProfileReport(const QueryProfile& profile) {
             agg.self.network_misses, agg.self.network_hits,
             agg.self.index_misses, agg.self.index_hits,
             agg.self.settled_nodes, agg.self.dominance_tests,
-            agg.self.cache_wavefront_hits + agg.self.cache_memo_hits,
-            agg.self.cache_wavefront_misses + agg.self.cache_memo_misses);
+            agg.self.cache_hits(), agg.self.cache_misses());
   }
   AppendF(&out,
           "%-28s %7s %10s %10s %9" PRIu64 " %9" PRIu64 " %9" PRIu64
@@ -148,9 +145,8 @@ std::string ProfileReport(const QueryProfile& profile) {
           "\n",
           "total (self sum)", "", "", "", total.network_misses,
           total.network_hits, total.index_misses, total.index_hits,
-          total.settled_nodes, total.dominance_tests,
-          total.cache_wavefront_hits + total.cache_memo_hits,
-          total.cache_wavefront_misses + total.cache_memo_misses);
+          total.settled_nodes, total.dominance_tests, total.cache_hits(),
+          total.cache_misses());
   if (profile.dropped_spans > 0) {
     AppendF(&out, "(%zu spans dropped at the session cap)\n",
             profile.dropped_spans);

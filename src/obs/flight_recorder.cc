@@ -27,20 +27,10 @@ std::uint64_t FlightRecorder::Record(const FlightRecord& record) {
   slot.source_count.store(record.source_count, std::memory_order_relaxed);
   slot.skyline_size.store(record.skyline_size, std::memory_order_relaxed);
   slot.wall_seconds.store(record.wall_seconds, std::memory_order_relaxed);
-  slot.network_hits.store(record.network_hits, std::memory_order_relaxed);
-  slot.network_misses.store(record.network_misses,
-                            std::memory_order_relaxed);
-  slot.index_hits.store(record.index_hits, std::memory_order_relaxed);
-  slot.index_misses.store(record.index_misses, std::memory_order_relaxed);
-  slot.settled_nodes.store(record.settled_nodes, std::memory_order_relaxed);
-  slot.dominance_tests.store(record.dominance_tests,
-                             std::memory_order_relaxed);
-  slot.dominance_avoided.store(record.dominance_avoided,
-                               std::memory_order_relaxed);
-  slot.bound_samples.store(record.bound_samples, std::memory_order_relaxed);
-  slot.bound_pct_sum.store(record.bound_pct_sum, std::memory_order_relaxed);
-  slot.cache_hits.store(record.cache_hits, std::memory_order_relaxed);
-  slot.cache_misses.store(record.cache_misses, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    slot.counters[i].store(record.counters.*kCounterRows[i].member,
+                           std::memory_order_relaxed);
+  }
   slot.committed.store(sequence, std::memory_order_release);
   return sequence;
 }
@@ -64,21 +54,10 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
     record.source_count = slot.source_count.load(std::memory_order_relaxed);
     record.skyline_size = slot.skyline_size.load(std::memory_order_relaxed);
     record.wall_seconds = slot.wall_seconds.load(std::memory_order_relaxed);
-    record.network_hits = slot.network_hits.load(std::memory_order_relaxed);
-    record.network_misses =
-        slot.network_misses.load(std::memory_order_relaxed);
-    record.index_hits = slot.index_hits.load(std::memory_order_relaxed);
-    record.index_misses = slot.index_misses.load(std::memory_order_relaxed);
-    record.settled_nodes =
-        slot.settled_nodes.load(std::memory_order_relaxed);
-    record.dominance_tests =
-        slot.dominance_tests.load(std::memory_order_relaxed);
-    record.dominance_avoided =
-        slot.dominance_avoided.load(std::memory_order_relaxed);
-    record.bound_samples = slot.bound_samples.load(std::memory_order_relaxed);
-    record.bound_pct_sum = slot.bound_pct_sum.load(std::memory_order_relaxed);
-    record.cache_hits = slot.cache_hits.load(std::memory_order_relaxed);
-    record.cache_misses = slot.cache_misses.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kCounterCount; ++i) {
+      record.counters.*kCounterRows[i].member =
+          slot.counters[i].load(std::memory_order_relaxed);
+    }
     // A writer that claimed this slot mid-copy invalidated or replaced the
     // sequence; drop the (possibly torn) copy.
     if (slot.committed.load(std::memory_order_acquire) != sequence) continue;

@@ -4,7 +4,7 @@
 // the fact — including the ones nobody thought to trace.
 //
 // Write path: one fetch_add claims a globally unique sequence number (and
-// with it a slot), then the payload is stored field-by-field with relaxed
+// with it a slot), then the payload is stored word by word with relaxed
 // atomics and the slot's commit word is released last. No locks, no
 // allocation, wait-free for writers.
 //
@@ -23,11 +23,14 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace msq::obs {
 
-// One query completion. Counter fields are the worker thread's
-// ThreadCounters deltas over the query window — the same numbers
-// QueryStats reports, plus dominance tests, which QueryStats drops.
+// One query completion. `counters` is the worker thread's ThreadCounters
+// delta over the query window: every row of the counter table, the same
+// thread-exact numbers QueryStats::counters reports for a pool attached to
+// its query-stack role.
 struct FlightRecord {
   std::uint64_t sequence = 0;     // 1-based completion order, assigned by Record
   std::uint64_t spec_digest = 0;  // core::QuerySpecDigest of (algorithm, spec)
@@ -41,17 +44,7 @@ struct FlightRecord {
   std::uint32_t source_count = 0;
   std::uint64_t skyline_size = 0;
   double wall_seconds = 0.0;
-  std::uint64_t network_hits = 0;
-  std::uint64_t network_misses = 0;
-  std::uint64_t index_hits = 0;
-  std::uint64_t index_misses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;  // tests skipped by early exit
-  std::uint64_t bound_samples = 0;      // bound-tightness samples taken
-  std::uint64_t bound_pct_sum = 0;      // sum of sampled tightness percents
-  std::uint64_t cache_hits = 0;    // wavefront + memo
-  std::uint64_t cache_misses = 0;  // wavefront + memo
+  Counters counters;
 };
 
 class FlightRecorder {
@@ -90,17 +83,8 @@ class FlightRecorder {
     std::atomic<std::uint32_t> source_count{0};
     std::atomic<std::uint64_t> skyline_size{0};
     std::atomic<double> wall_seconds{0.0};
-    std::atomic<std::uint64_t> network_hits{0};
-    std::atomic<std::uint64_t> network_misses{0};
-    std::atomic<std::uint64_t> index_hits{0};
-    std::atomic<std::uint64_t> index_misses{0};
-    std::atomic<std::uint64_t> settled_nodes{0};
-    std::atomic<std::uint64_t> dominance_tests{0};
-    std::atomic<std::uint64_t> dominance_avoided{0};
-    std::atomic<std::uint64_t> bound_samples{0};
-    std::atomic<std::uint64_t> bound_pct_sum{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
+    // FlightRecord::counters, in kCounterRows order.
+    std::atomic<std::uint64_t> counters[kCounterCount] = {};
   };
 
   const std::size_t capacity_;

@@ -1,23 +1,25 @@
-// Named counter/gauge registry — the cross-layer observability substrate.
+// Named counter/gauge registry plus the per-query counter table — the
+// cross-layer observability substrate.
 //
 // Components (BufferManager, GraphPager, the Dijkstra/A* wavefronts, the
-// dominance kernel) report into named metrics here; TraceSession
-// (obs/trace.h) snapshots a tracked subset at span boundaries to attribute
-// work to query phases, and obs/export.h dumps the whole registry as JSONL.
+// dominance kernel, the query cache) report into named metrics here, and
+// obs/export.h dumps the whole registry as JSONL. Counters are
+// relaxed-atomic uint64 increments behind a stable pointer, so the hot
+// paths pay one uncontended atomic add — cheap enough to stay always-on.
+// The registry is thread-safe: concurrent queries in a QueryExecutor pool
+// all report into the same global registry, whose totals stay exact.
 //
-// Counters are relaxed-atomic uint64 increments behind a stable pointer, so
-// the hot paths pay one uncontended atomic add (plus a null check where
-// attachment is optional) — cheap enough to stay always-on, like the
-// existing BufferStats. The registry itself is thread-safe: concurrent
-// queries running in a QueryExecutor pool all report into the same global
-// registry, whose totals stay exact under contention.
-//
-// Per-thread attribution lives next to the global totals: ThreadCounters is
-// a thread-local block the same hot paths bump alongside the registry.
-// Because a query runs entirely on one worker thread, per-query deltas of
-// the thread-local block are exact even while other workers hammer the
-// shared pools — this is what keeps QueryStats and trace reconciliation
-// (obs/trace.h) byte-exact per query under concurrency.
+// The counters a query window accounts for (buffer hits/misses, settled
+// nodes, pruning power, cache consultations) are declared once, in the
+// MSQ_OBS_COUNTERS table below. Its one generated struct, obs::Counters,
+// is the only per-query counter block: the thread-local block
+// (ThreadCounters), span self counters (obs/trace.h), QueryStats,
+// execution plans (obs/plan.h) and flight records all carry it. Every bump
+// site adds to the registry Counter and to the calling thread's block;
+// because a query runs on one worker thread, deltas of that block are
+// exact per query even while other workers hammer the shared pools, which
+// keeps QueryStats, spans and plans reconciling row by row under
+// concurrency.
 //
 // Naming scheme (DESIGN.md §9): `<layer>.<component>.<event>`, e.g.
 // `buffer.network.misses` or `graph.settled_nodes`.
@@ -25,7 +27,9 @@
 #define MSQ_OBS_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -129,116 +133,9 @@ class MetricsRegistry {
 // one counter per event kind.
 MetricsRegistry& GlobalMetrics();
 
-// Per-thread mirror of the tracked cross-layer counters. The instrumented
-// hot paths (BufferManager hits/misses via its attached role, wavefront
-// settles, dominance tests, the search-heap gauge) bump the calling
-// thread's block in addition to the global registry. A query executes on
-// exactly one thread, so deltas of this block taken around a query window
-// count that query's work and nothing else — the substrate for per-query
-// QueryStats and span attribution under a concurrent executor.
-struct ThreadCounters {
-  std::uint64_t network_hits = 0;     // buffer.network.hits
-  std::uint64_t network_misses = 0;   // buffer.network.misses
-  std::uint64_t index_hits = 0;       // buffer.index.hits
-  std::uint64_t index_misses = 0;     // buffer.index.misses
-  std::uint64_t settled_nodes = 0;    // graph.settled_nodes
-  std::uint64_t dominance_tests = 0;  // core.dominance_tests
-  // Pruning-power accounting (DESIGN.md §17). `dominance_avoided` counts
-  // pairwise tests a window early-exit or a bound-based prune made
-  // unnecessary; `bound_pruned`/`bound_examined` partition candidate
-  // objects by whether a plb/Euclid/ALT lower bound eliminated them or
-  // exact distances had to be computed; `bound_samples` counts
-  // bound-tightness ratios (plb/dN) observed at exact-completion sites.
-  std::uint64_t dominance_avoided = 0;  // core.dominance_avoided
-  std::uint64_t bound_pruned = 0;       // core.bound_pruned
-  std::uint64_t bound_examined = 0;     // core.bound_examined
-  std::uint64_t bound_samples = 0;      // core.bound_tightness_samples
-  // Sum of the rounded tightness percents over those samples, so any
-  // delta window can report a mean tightness (sum / samples) without
-  // carrying the sample list.
-  std::uint64_t bound_pct_sum = 0;      // core.bound_tightness_pct_sum
-  // Cross-query cache consultations (src/cache). A distinct access class
-  // from the buffer counters: a cache hit never touches a buffer pool, so
-  // it must never be folded into page accesses.
-  std::uint64_t cache_wavefront_hits = 0;    // cache.wavefront.hits
-  std::uint64_t cache_wavefront_misses = 0;  // cache.wavefront.misses
-  std::uint64_t cache_memo_hits = 0;         // cache.memo.hits
-  std::uint64_t cache_memo_misses = 0;       // cache.memo.misses
-  // Thread-scoped view of the core.heap_peak gauge, with the same
-  // level+high-water semantics.
-  double heap_value = 0.0;
-  double heap_peak = 0.0;
-
-  void UpdateHeap(double value) {
-    heap_value = value;
-    if (value > heap_peak) heap_peak = value;
-  }
-  void ResetHeapPeak() { heap_peak = heap_value; }
-  void MergeHeapPeak(double peak) {
-    if (peak > heap_peak) heap_peak = peak;
-  }
-
-  std::uint64_t network_accesses() const {
-    return network_hits + network_misses;
-  }
-  std::uint64_t index_accesses() const { return index_hits + index_misses; }
-
-  // Field-wise difference of this block against an earlier snapshot of the
-  // SAME thread's block. Counters subtract; the heap fields carry the
-  // current level and the window's high-water mark. The substrate for
-  // intra-query parallelism: a helper task snapshots its thread's block
-  // around the work, and the query thread Absorbs the delta so its own
-  // StatsScope/QueryGuard/TraceSession windows see the helper's work.
-  ThreadCounters Delta(const ThreadCounters& since) const {
-    ThreadCounters d;
-    d.network_hits = network_hits - since.network_hits;
-    d.network_misses = network_misses - since.network_misses;
-    d.index_hits = index_hits - since.index_hits;
-    d.index_misses = index_misses - since.index_misses;
-    d.settled_nodes = settled_nodes - since.settled_nodes;
-    d.dominance_tests = dominance_tests - since.dominance_tests;
-    d.dominance_avoided = dominance_avoided - since.dominance_avoided;
-    d.bound_pruned = bound_pruned - since.bound_pruned;
-    d.bound_examined = bound_examined - since.bound_examined;
-    d.bound_samples = bound_samples - since.bound_samples;
-    d.bound_pct_sum = bound_pct_sum - since.bound_pct_sum;
-    d.cache_wavefront_hits = cache_wavefront_hits - since.cache_wavefront_hits;
-    d.cache_wavefront_misses =
-        cache_wavefront_misses - since.cache_wavefront_misses;
-    d.cache_memo_hits = cache_memo_hits - since.cache_memo_hits;
-    d.cache_memo_misses = cache_memo_misses - since.cache_memo_misses;
-    d.heap_value = heap_value;
-    d.heap_peak = heap_peak;
-    return d;
-  }
-
-  // Adds a Delta()-produced block into this one. Never absorb a delta into
-  // the thread that produced it — the work is already counted there.
-  void Absorb(const ThreadCounters& delta) {
-    network_hits += delta.network_hits;
-    network_misses += delta.network_misses;
-    index_hits += delta.index_hits;
-    index_misses += delta.index_misses;
-    settled_nodes += delta.settled_nodes;
-    dominance_tests += delta.dominance_tests;
-    dominance_avoided += delta.dominance_avoided;
-    bound_pruned += delta.bound_pruned;
-    bound_examined += delta.bound_examined;
-    bound_samples += delta.bound_samples;
-    bound_pct_sum += delta.bound_pct_sum;
-    cache_wavefront_hits += delta.cache_wavefront_hits;
-    cache_wavefront_misses += delta.cache_wavefront_misses;
-    cache_memo_hits += delta.cache_memo_hits;
-    cache_memo_misses += delta.cache_memo_misses;
-    MergeHeapPeak(delta.heap_peak);
-  }
-};
-
-// The calling thread's counter block.
-ThreadCounters& ThreadLocalCounters();
-
 // Well-known metric names. The buffer prefixes are what Workload attaches
-// its two pools under; TraceSession tracks the counters listed here.
+// its two pools under; the per-query counter table below names the ones
+// every query window tracks.
 namespace metric {
 inline constexpr char kNetworkBufferPrefix[] = "buffer.network";
 inline constexpr char kIndexBufferPrefix[] = "buffer.index";
@@ -295,6 +192,143 @@ inline constexpr char kDominancePerformedHist[] =
     "dominance_tests.performed";
 inline constexpr char kDominanceAvoidedHist[] = "dominance_tests.avoided";
 }  // namespace metric
+
+// The per-query counter table. Each row is X(field, metric name): `field`
+// is the member every per-query counter block carries (obs::Counters, and
+// through it ThreadCounters, span self counters, QueryStats::counters,
+// ExecutionPlan::counters, PlanAggregate::counters and FlightRecord), and
+// the metric is the registry counter the same bump site increments.
+//
+// Buffer rows split each pool's lookups into hits and misses (misses are
+// the paper's "pages accessed"). Pruning-power rows (DESIGN.md §17):
+// `dominance_avoided` counts pairwise tests a window early-exit or a
+// bound-based prune made unnecessary; `bound_pruned`/`bound_examined`
+// partition candidate objects by whether a plb/Euclid/ALT lower bound
+// eliminated them or exact distances had to be computed; `bound_samples`
+// counts bound-tightness ratios (plb/dN) observed at exact-completion
+// sites and `bound_pct_sum` sums their rounded percents, so any window
+// reports a mean tightness (sum / samples) without the sample list. Cache
+// rows are a distinct access class: a cache hit never touches a buffer
+// pool, so it is never folded into page accesses.
+//
+// Adding a counter is one row here plus its bump site, which adds once to
+// the registry Counter and once to the calling thread's block. Every copy,
+// delta, flight slot and reconciliation check loops over kCounterRows;
+// wire formats name their fields explicitly and stay unchanged.
+#define MSQ_OBS_COUNTERS(X)                                \
+  X(network_hits, metric::kNetworkBufferHits)              \
+  X(network_misses, metric::kNetworkBufferMisses)          \
+  X(index_hits, metric::kIndexBufferHits)                  \
+  X(index_misses, metric::kIndexBufferMisses)              \
+  X(settled_nodes, metric::kSettledNodes)                  \
+  X(dominance_tests, metric::kDominanceTests)              \
+  X(dominance_avoided, metric::kDominanceAvoided)          \
+  X(bound_pruned, metric::kBoundPruned)                    \
+  X(bound_examined, metric::kBoundExamined)                \
+  X(bound_samples, metric::kBoundSamples)                  \
+  X(bound_pct_sum, metric::kBoundPctSum)                   \
+  X(cache_wavefront_hits, metric::kCacheWavefrontHits)     \
+  X(cache_wavefront_misses, metric::kCacheWavefrontMisses) \
+  X(cache_memo_hits, metric::kCacheMemoHits)               \
+  X(cache_memo_misses, metric::kCacheMemoMisses)
+
+// One value per table row: a thread's running totals, or the delta of a
+// window (a span, a query) over them.
+struct Counters {
+#define MSQ_OBS_COUNTER_FIELD(field, metric_name) std::uint64_t field = 0;
+  MSQ_OBS_COUNTERS(MSQ_OBS_COUNTER_FIELD)
+#undef MSQ_OBS_COUNTER_FIELD
+
+  Counters& operator+=(const Counters& other);
+  // Row-wise difference against an earlier snapshot of the same block.
+  Counters operator-(const Counters& since) const;
+  bool operator==(const Counters& other) const = default;
+
+  std::uint64_t network_accesses() const {
+    return network_hits + network_misses;
+  }
+  std::uint64_t index_accesses() const { return index_hits + index_misses; }
+  std::uint64_t cache_hits() const {
+    return cache_wavefront_hits + cache_memo_hits;
+  }
+  std::uint64_t cache_misses() const {
+    return cache_wavefront_misses + cache_memo_misses;
+  }
+};
+
+// The table as data, in row order: iterate it to visit every counter as
+// (field name, metric name, value) via `block.*row.member`.
+struct CounterRow {
+  const char* field;
+  const char* metric;
+  std::uint64_t Counters::*member;
+};
+
+inline constexpr CounterRow kCounterRows[] = {
+#define MSQ_OBS_COUNTER_ROW(field, metric_name) \
+  {#field, metric_name, &Counters::field},
+    MSQ_OBS_COUNTERS(MSQ_OBS_COUNTER_ROW)
+#undef MSQ_OBS_COUNTER_ROW
+};
+inline constexpr std::size_t kCounterCount = std::size(kCounterRows);
+
+inline Counters& Counters::operator+=(const Counters& other) {
+  for (const CounterRow& row : kCounterRows) {
+    this->*row.member += other.*row.member;
+  }
+  return *this;
+}
+
+inline Counters Counters::operator-(const Counters& since) const {
+  Counters delta;
+  for (const CounterRow& row : kCounterRows) {
+    delta.*row.member = this->*row.member - since.*row.member;
+  }
+  return delta;
+}
+
+// The per-thread counter block: the table's rows plus a thread-scoped view
+// of the core.heap_peak gauge (level + high-water mark). The instrumented
+// hot paths bump the calling thread's block in addition to the global
+// registry. A query executes on exactly one thread, so deltas of this
+// block taken around a query window count that query's work and nothing
+// else — the substrate for per-query QueryStats and span attribution under
+// a concurrent executor.
+struct ThreadCounters : Counters {
+  double heap_value = 0.0;
+  double heap_peak = 0.0;
+
+  void UpdateHeap(double value) {
+    heap_value = value;
+    if (value > heap_peak) heap_peak = value;
+  }
+  void ResetHeapPeak() { heap_peak = heap_value; }
+  void MergeHeapPeak(double peak) {
+    if (peak > heap_peak) heap_peak = peak;
+  }
+
+  // Difference of this block against an earlier snapshot of the SAME
+  // thread's block: counters subtract, the heap fields carry the current
+  // level and the window's high-water mark. The substrate for intra-query
+  // parallelism: a helper task snapshots its thread's block around the
+  // work, and the query thread Absorbs the delta so its own
+  // StatsScope/QueryGuard/TraceSession windows see the helper's work.
+  ThreadCounters Delta(const ThreadCounters& since) const {
+    ThreadCounters delta = *this;
+    static_cast<Counters&>(delta) = *this - since;
+    return delta;
+  }
+
+  // Adds a Delta()-produced block into this one. Never absorb a delta into
+  // the thread that produced it — the work is already counted there.
+  void Absorb(const ThreadCounters& delta) {
+    *this += delta;
+    MergeHeapPeak(delta.heap_peak);
+  }
+};
+
+// The calling thread's counter block.
+ThreadCounters& ThreadLocalCounters();
 
 }  // namespace msq::obs
 

@@ -3,10 +3,12 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <utility>
 
 #include "core/query.h"
+#include "obs/export.h"
 
 namespace msq::obs {
 namespace {
@@ -39,34 +41,44 @@ void AppendEscaped(std::string* out, std::string_view s) {
   }
 }
 
-// The span-tracked measures a phase rollup must partition exactly.
-struct PhaseTotals {
-  std::uint64_t network_accesses = 0;
-  std::uint64_t index_accesses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_samples = 0;
-  std::uint64_t bound_pct_sum = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+std::string Mismatch(const std::string& what, const char* side,
+                     std::uint64_t got, std::uint64_t expected) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "%s: %s %" PRIu64 " != expected %" PRIu64,
+                what.c_str(), side, got, expected);
+  return buf;
+}
 
-  void Add(const SpanCounters& c) {
-    network_accesses += c.network_hits + c.network_misses;
-    index_accesses += c.index_hits + c.index_misses;
-    settled_nodes += c.settled_nodes;
-    dominance_tests += c.dominance_tests;
-    dominance_avoided += c.dominance_avoided;
-    bound_pruned += c.bound_pruned;
-    bound_examined += c.bound_examined;
-    bound_samples += c.bound_samples;
-    bound_pct_sum += c.bound_pct_sum;
-    cache_hits += c.cache_wavefront_hits + c.cache_memo_hits;
-    cache_misses += c.cache_wavefront_misses + c.cache_memo_misses;
+// First row where `got` differs from `expected`, as a Mismatch named
+// `prefix` + the row's field; empty when every row agrees.
+std::string MismatchedRow(const Counters& got, const Counters& expected,
+                          const char* side, const std::string& prefix) {
+  for (const CounterRow& row : kCounterRows) {
+    if (got.*row.member != expected.*row.member) {
+      return Mismatch(prefix + row.field, side, got.*row.member,
+                      expected.*row.member);
+    }
   }
+  return std::string();
+}
+
+// A named measure outside the counter table and its expected value.
+struct NamedPair {
+  const char* name;
+  std::uint64_t got;
+  std::uint64_t expected;
 };
+
+// First pair whose values differ, as a Mismatch; empty when all agree.
+std::string MismatchedPair(std::initializer_list<NamedPair> pairs,
+                           const char* side) {
+  for (const NamedPair& pair : pairs) {
+    if (pair.got != pair.expected) {
+      return Mismatch(pair.name, side, pair.got, pair.expected);
+    }
+  }
+  return std::string();
+}
 
 }  // namespace
 
@@ -98,18 +110,7 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
   plan.algorithm = std::string(algorithm);
   plan.total_seconds = stats.total_seconds;
   plan.truncated = truncated;
-  plan.dominance_tests = stats.dominance_tests;
-  plan.dominance_tests_avoided = stats.dominance_tests_avoided;
-  plan.bound_pruned = stats.bound_pruned;
-  plan.bound_examined = stats.bound_examined;
-  plan.bound_tightness_samples = stats.bound_tightness_samples;
-  plan.bound_tightness_pct_sum = stats.bound_tightness_pct_sum;
-  plan.network_page_accesses = stats.network_page_accesses;
-  plan.index_page_accesses = stats.index_page_accesses;
-  plan.settled_nodes = stats.settled_nodes;
-  plan.cache_hits = stats.cache_wavefront_hits + stats.cache_memo_hits;
-  plan.cache_misses =
-      stats.cache_wavefront_misses + stats.cache_memo_misses;
+  plan.counters = stats.counters;
   plan.candidate_count = stats.candidate_count;
   plan.skyline_size = stats.skyline_size;
   if (collector != nullptr) {
@@ -140,91 +141,66 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
 
 std::string ReconcilePlan(const ExecutionPlan& plan,
                           const msq::QueryStats& stats) {
-  char buf[256];
-  auto mismatch = [&buf](const char* what, std::uint64_t plan_value,
-                         std::uint64_t stats_value) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: plan %" PRIu64 " != expected %" PRIu64, what,
-                  plan_value, stats_value);
-    return std::string(buf);
-  };
-  const struct {
-    const char* name;
-    std::uint64_t plan_value;
-    std::uint64_t stats_value;
-  } scalars[] = {
-      {"dominance_tests", plan.dominance_tests, stats.dominance_tests},
-      {"dominance_tests_avoided", plan.dominance_tests_avoided,
-       stats.dominance_tests_avoided},
-      {"bound_pruned", plan.bound_pruned, stats.bound_pruned},
-      {"bound_examined", plan.bound_examined, stats.bound_examined},
-      {"bound_tightness_samples", plan.bound_tightness_samples,
-       stats.bound_tightness_samples},
-      {"bound_tightness_pct_sum", plan.bound_tightness_pct_sum,
-       stats.bound_tightness_pct_sum},
-      {"network_page_accesses", plan.network_page_accesses,
-       stats.network_page_accesses},
-      {"index_page_accesses", plan.index_page_accesses,
-       stats.index_page_accesses},
-      {"settled_nodes", plan.settled_nodes, stats.settled_nodes},
-      {"cache_hits", plan.cache_hits,
-       stats.cache_wavefront_hits + stats.cache_memo_hits},
-      {"cache_misses", plan.cache_misses,
-       stats.cache_wavefront_misses + stats.cache_memo_misses},
-      {"candidate_count", plan.candidate_count, stats.candidate_count},
-      {"skyline_size", plan.skyline_size, stats.skyline_size},
-  };
-  for (const auto& s : scalars) {
-    if (s.plan_value != s.stats_value) {
-      return mismatch(s.name, s.plan_value, s.stats_value);
-    }
+  std::string mismatch =
+      MismatchedRow(plan.counters, stats.counters, "plan", "");
+  if (mismatch.empty()) {
+    mismatch = MismatchedPair(
+        {{"network_page_accesses", plan.counters.network_accesses(),
+          stats.network_page_accesses},
+         {"index_page_accesses", plan.counters.index_accesses(),
+          stats.index_page_accesses},
+         {"candidate_count", plan.candidate_count, stats.candidate_count},
+         {"skyline_size", plan.skyline_size, stats.skyline_size},
+         // The histogram was filled by the collector, the sample rows by
+         // the thread-local substrate — two independent paths.
+         {"tightness histogram count", plan.bound_tightness.count,
+          stats.counters.bound_samples},
+         {"tightness histogram sum", plan.bound_tightness.sum,
+          stats.counters.bound_pct_sum}},
+        "plan");
   }
-  // The histogram was filled by the collector, the sample counters by the
-  // thread-local substrate — two independent paths that must agree.
-  if (plan.bound_tightness.count != stats.bound_tightness_samples) {
-    return mismatch("tightness histogram count", plan.bound_tightness.count,
-                    stats.bound_tightness_samples);
+  if (!mismatch.empty() || plan.phases.empty()) return mismatch;
+  Counters totals;
+  for (const PlanPhase& phase : plan.phases) totals += phase.counters;
+  return MismatchedRow(totals, stats.counters, "phases", "phase ");
+}
+
+std::string ReconcileProfile(const QueryProfile& profile,
+                             const msq::QueryStats& stats) {
+  if (profile.spans.empty()) return "profile has no root span";
+  const Counters total = profile.TotalCounters();
+  std::string mismatch =
+      MismatchedRow(total, stats.counters, "span self-sum", "");
+  // Self counters are an exact partition: their sum is also the root
+  // span's inclusive view.
+  if (mismatch.empty()) {
+    mismatch = MismatchedRow(profile.InclusiveCounters(0), total,
+                             "root inclusive", "");
   }
-  if (plan.bound_tightness.sum != stats.bound_tightness_pct_sum) {
-    return mismatch("tightness histogram sum", plan.bound_tightness.sum,
-                    stats.bound_tightness_pct_sum);
+  if (mismatch.empty()) {
+    mismatch = MismatchedPair(
+        {{"network_pages", total.network_misses, stats.network_pages},
+         {"network_page_accesses", total.network_accesses(),
+          stats.network_page_accesses},
+         {"index_pages", total.index_misses, stats.index_pages},
+         {"index_page_accesses", total.index_accesses(),
+          stats.index_page_accesses}},
+        "span self-sum");
   }
-  if (!plan.phases.empty()) {
-    PhaseTotals totals;
-    for (const PlanPhase& phase : plan.phases) totals.Add(phase.counters);
-    const struct {
-      const char* name;
-      std::uint64_t phase_value;
-      std::uint64_t stats_value;
-    } rollup[] = {
-        {"phase network_page_accesses", totals.network_accesses,
-         stats.network_page_accesses},
-        {"phase index_page_accesses", totals.index_accesses,
-         stats.index_page_accesses},
-        {"phase settled_nodes", totals.settled_nodes, stats.settled_nodes},
-        {"phase dominance_tests", totals.dominance_tests,
-         stats.dominance_tests},
-        {"phase dominance_avoided", totals.dominance_avoided,
-         stats.dominance_tests_avoided},
-        {"phase bound_pruned", totals.bound_pruned, stats.bound_pruned},
-        {"phase bound_examined", totals.bound_examined,
-         stats.bound_examined},
-        {"phase bound_samples", totals.bound_samples,
-         stats.bound_tightness_samples},
-        {"phase bound_pct_sum", totals.bound_pct_sum,
-         stats.bound_tightness_pct_sum},
-        {"phase cache_hits", totals.cache_hits,
-         stats.cache_wavefront_hits + stats.cache_memo_hits},
-        {"phase cache_misses", totals.cache_misses,
-         stats.cache_wavefront_misses + stats.cache_memo_misses},
-    };
-    for (const auto& r : rollup) {
-      if (r.phase_value != r.stats_value) {
-        return mismatch(r.name, r.phase_value, r.stats_value);
-      }
-    }
-  }
-  return std::string();
+  if (!mismatch.empty()) return mismatch;
+  // The derived pages_per_settled_node figure divides the same integers
+  // through the same function on both sides, so it must agree bit for bit.
+  const double from_spans =
+      PagesPerSettledNode(total.network_misses, total.settled_nodes);
+  const double from_stats = PagesPerSettledNode(
+      stats.network_pages, stats.counters.settled_nodes);
+  if (from_spans == from_stats) return std::string();
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "pages_per_settled_node: span derivation %.17g != "
+                "QueryStats derivation %.17g",
+                from_spans, from_stats);
+  return buf;
 }
 
 std::string PlanJson(const ExecutionPlan& plan) {
@@ -235,13 +211,13 @@ std::string PlanJson(const ExecutionPlan& plan) {
   AppendF(&out,
           ",\"dominance_tests\":{\"performed\":%" PRIu64
           ",\"avoided\":%" PRIu64 "}",
-          plan.dominance_tests, plan.dominance_tests_avoided);
+          plan.counters.dominance_tests, plan.counters.dominance_avoided);
   AppendF(&out,
           ",\"bounds\":{\"pruned\":%" PRIu64 ",\"examined\":%" PRIu64
           ",\"tightness\":{\"samples\":%" PRIu64 ",\"mean_pct\":%.1f,"
           "\"histogram\":[",
-          plan.bound_pruned, plan.bound_examined,
-          plan.bound_tightness_samples, plan.mean_tightness_pct());
+          plan.counters.bound_pruned, plan.counters.bound_examined,
+          plan.counters.bound_samples, plan.mean_tightness_pct());
   bool first = true;
   for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
     if (plan.bound_tightness.buckets[i] == 0) continue;
@@ -254,13 +230,14 @@ std::string PlanJson(const ExecutionPlan& plan) {
   AppendF(&out,
           ",\"pages\":{\"network_accesses\":%" PRIu64
           ",\"index_accesses\":%" PRIu64 "},\"settled_nodes\":%" PRIu64,
-          plan.network_page_accesses, plan.index_page_accesses,
-          plan.settled_nodes);
+          plan.counters.network_accesses(), plan.counters.index_accesses(),
+          plan.counters.settled_nodes);
   AppendF(&out,
           ",\"cache\":{\"hits\":%" PRIu64 ",\"misses\":%" PRIu64
           ",\"lookup_tiers\":{\"memo\":%" PRIu64 ",\"wavefront\":%" PRIu64
           ",\"computed\":%" PRIu64 "}}",
-          plan.cache_hits, plan.cache_misses, plan.tiers.memo_hits,
+          plan.counters.cache_hits(), plan.counters.cache_misses(),
+          plan.tiers.memo_hits,
           plan.tiers.wavefront_exact, plan.tiers.computed);
   AppendF(&out, ",\"candidates\":%" PRIu64 ",\"skyline_size\":%" PRIu64,
           plan.candidate_count, plan.skyline_size);
@@ -276,14 +253,11 @@ std::string PlanJson(const ExecutionPlan& plan) {
             ",\"dominance_tests\":%" PRIu64 ",\"dominance_avoided\":%" PRIu64
             ",\"bound_pruned\":%" PRIu64 ",\"bound_examined\":%" PRIu64
             ",\"cache_hits\":%" PRIu64 "}",
-            phase.seconds,
-            phase.counters.network_hits + phase.counters.network_misses,
-            phase.counters.index_hits + phase.counters.index_misses,
-            phase.counters.settled_nodes, phase.counters.dominance_tests,
-            phase.counters.dominance_avoided, phase.counters.bound_pruned,
-            phase.counters.bound_examined,
-            phase.counters.cache_wavefront_hits +
-                phase.counters.cache_memo_hits);
+            phase.seconds, phase.counters.network_accesses(),
+            phase.counters.index_accesses(), phase.counters.settled_nodes,
+            phase.counters.dominance_tests, phase.counters.dominance_avoided,
+            phase.counters.bound_pruned, phase.counters.bound_examined,
+            phase.counters.cache_hits());
   }
   out += "],\"sources\":[";
   for (std::size_t i = 0; i < plan.sources.size(); ++i) {
@@ -320,12 +294,7 @@ void PlanStore::Account(std::string_view algorithm,
   }
   PlanAggregate& agg = it->second;
   ++agg.queries;
-  agg.dominance_tests += stats.dominance_tests;
-  agg.dominance_avoided += stats.dominance_tests_avoided;
-  agg.bound_pruned += stats.bound_pruned;
-  agg.bound_examined += stats.bound_examined;
-  agg.bound_samples += stats.bound_tightness_samples;
-  agg.bound_pct_sum += stats.bound_tightness_pct_sum;
+  agg.counters += stats.counters;
   ++accounted_total_;
 }
 
@@ -352,9 +321,10 @@ std::string ExplainzJson(const PlanStore& store) {
   const std::vector<RetainedPlan> plans = store.Snapshot();
   std::string out = "{\"pruning_efficiency\":[";
   bool first = true;
-  for (const auto& [algo, agg] : aggregates) {
+  for (const auto& [algo, aggregate] : aggregates) {
     if (!first) out += ",";
     first = false;
+    const Counters& agg = aggregate.counters;
     const double avoided_ratio =
         agg.dominance_tests + agg.dominance_avoided == 0
             ? 0.0
@@ -378,7 +348,7 @@ std::string ExplainzJson(const PlanStore& store) {
             ",\"dominance_avoided\":%" PRIu64 ",\"avoided_ratio\":%.4f"
             ",\"bound_pruned\":%" PRIu64 ",\"bound_examined\":%" PRIu64
             ",\"prune_ratio\":%.4f,\"mean_tightness_pct\":%.1f}",
-            agg.queries, agg.dominance_tests, agg.dominance_avoided,
+            aggregate.queries, agg.dominance_tests, agg.dominance_avoided,
             avoided_ratio, agg.bound_pruned, agg.bound_examined, prune_ratio,
             mean_tightness);
   }

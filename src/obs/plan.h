@@ -20,7 +20,9 @@
 // ReconcilePlan is the oracle: every plan counter must equal its
 // QueryStats twin exactly, the histogram's count/sum must equal the
 // independently counted sample counters, and the phase rollup must sum to
-// the totals — the same discipline spans already obey (DESIGN.md §17).
+// the totals (DESIGN.md §17). ReconcileProfile holds spans to the same
+// discipline. Both loop over the obs/metrics.h counter table, so a new
+// row is checked everywhere without touching them.
 #ifndef MSQ_OBS_PLAN_H_
 #define MSQ_OBS_PLAN_H_
 
@@ -51,7 +53,7 @@ namespace msq::obs {
 struct PlanPhase {
   std::string name;
   double seconds = 0.0;
-  SpanCounters counters;
+  Counters counters;
 };
 
 // Wavefront progress of one query source at the end of the run.
@@ -84,18 +86,8 @@ struct ExecutionPlan {
   std::string algorithm;
   double total_seconds = 0.0;
   bool truncated = false;
-  // Scalar totals — each the exact QueryStats twin (ReconcilePlan).
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_tests_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_tightness_samples = 0;
-  std::uint64_t bound_tightness_pct_sum = 0;
-  std::uint64_t network_page_accesses = 0;
-  std::uint64_t index_page_accesses = 0;
-  std::uint64_t settled_nodes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  // Every counter-table row — the exact QueryStats twin (ReconcilePlan).
+  Counters counters;
   std::uint64_t candidate_count = 0;
   std::uint64_t skyline_size = 0;
   // Log2 histogram of the per-sample tightness percents (bucket layout of
@@ -108,10 +100,10 @@ struct ExecutionPlan {
   // Mean plb/dN tightness in percent (100 = bounds were exact); 0 when no
   // samples were taken.
   double mean_tightness_pct() const {
-    return bound_tightness_samples == 0
+    return counters.bound_samples == 0
                ? 0.0
-               : static_cast<double>(bound_tightness_pct_sum) /
-                     static_cast<double>(bound_tightness_samples);
+               : static_cast<double>(counters.bound_pct_sum) /
+                     static_cast<double>(counters.bound_samples);
   }
 };
 
@@ -165,12 +157,21 @@ ExecutionPlan BuildExecutionPlan(std::string_view algorithm,
                                  const PlanCollector* collector,
                                  bool truncated);
 
-// Exact reconciliation oracle: empty string when every plan counter equals
-// its QueryStats twin, the tightness histogram's count/sum equal the
-// sample counters, and the phase rollup sums to the totals; otherwise a
+// Exact reconciliation oracle: empty string when every counter row, the
+// page-access totals, the candidate count and the skyline size equal their
+// QueryStats twins, the tightness histogram's count/sum equal the sample
+// rows, and the phase rollup sums to the totals row by row; otherwise a
 // description of the first mismatch.
 std::string ReconcilePlan(const ExecutionPlan& plan,
                           const msq::QueryStats& stats);
+
+// The tracer's oracle (DESIGN.md §9): empty string when the profile's span
+// self counters sum to the QueryStats counters row by row, the root span's
+// inclusive counters equal that sum, the page fields equal their span
+// derivations, and pages_per_settled_node derived from either side agrees
+// bit for bit; otherwise a description of the first mismatch.
+std::string ReconcileProfile(const QueryProfile& profile,
+                             const msq::QueryStats& stats);
 
 // Single-line JSON encoding of one plan (the served `"plan"` field and the
 // /explainz entries).
@@ -183,18 +184,14 @@ struct RetainedPlan {
   ExecutionPlan plan;
 };
 
-// Running per-algorithm pruning-power totals — the always-on side of
-// /explainz. Scalar adds from counters the completion path already holds,
-// so accounting every query costs nothing measurable (unlike building and
-// retaining a full ExecutionPlan, which is explain-only).
+// Running per-algorithm counter totals — the always-on side of /explainz,
+// which reports their pruning-power rows. Adds from counters the
+// completion path already holds, so accounting every query costs nothing
+// measurable (unlike building and retaining a full ExecutionPlan, which is
+// explain-only).
 struct PlanAggregate {
   std::uint64_t queries = 0;
-  std::uint64_t dominance_tests = 0;
-  std::uint64_t dominance_avoided = 0;
-  std::uint64_t bound_pruned = 0;
-  std::uint64_t bound_examined = 0;
-  std::uint64_t bound_samples = 0;
-  std::uint64_t bound_pct_sum = 0;
+  Counters counters;
 };
 
 // Bounded FIFO of recent plans plus the per-algorithm pruning aggregates
@@ -210,7 +207,7 @@ class PlanStore {
   void Retain(RetainedPlan plan);
   std::vector<RetainedPlan> Snapshot() const;
 
-  // Folds one completed query's pruning counters into the per-algorithm
+  // Folds one completed query's counters into the per-algorithm
   // rollup. Called for every completion when telemetry is on.
   void Account(std::string_view algorithm, const msq::QueryStats& stats);
   std::vector<std::pair<std::string, PlanAggregate>> Aggregates() const;

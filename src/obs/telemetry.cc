@@ -54,12 +54,11 @@ std::uint64_t ServingTelemetry::RecordQuery(std::string_view algorithm,
   if (!config_.enabled) return 0;
   const AlgoHistograms& histograms = HistogramsFor(algorithm);
   histograms.latency_us->Observe(LatencyMicros(record.wall_seconds));
-  histograms.network_page_accesses->Observe(record.network_hits +
-                                            record.network_misses);
-  histograms.index_page_accesses->Observe(record.index_hits +
-                                          record.index_misses);
-  histograms.settled_nodes->Observe(record.settled_nodes);
-  histograms.cache_hits->Observe(record.cache_hits);
+  histograms.network_page_accesses->Observe(
+      record.counters.network_accesses());
+  histograms.index_page_accesses->Observe(record.counters.index_accesses());
+  histograms.settled_nodes->Observe(record.counters.settled_nodes);
+  histograms.cache_hits->Observe(record.counters.cache_hits());
   Histogram* performed = dominance_performed_.load(std::memory_order_acquire);
   if (performed == nullptr) {
     performed = registry_->histogram(metric::kDominancePerformedHist);
@@ -70,8 +69,8 @@ std::uint64_t ServingTelemetry::RecordQuery(std::string_view algorithm,
     avoided = registry_->histogram(metric::kDominanceAvoidedHist);
     dominance_avoided_.store(avoided, std::memory_order_release);
   }
-  performed->Observe(record.dominance_tests);
-  avoided->Observe(record.dominance_avoided);
+  performed->Observe(record.counters.dominance_tests);
+  avoided->Observe(record.counters.dominance_avoided);
   queries_->Inc();
   return flight_.Record(record);
 }
@@ -79,9 +78,8 @@ std::uint64_t ServingTelemetry::RecordQuery(std::string_view algorithm,
 bool ServingTelemetry::IsSlow(const FlightRecord& record) const {
   const bool wall_slow = config_.slow_wall_seconds > 0.0 &&
                          record.wall_seconds > config_.slow_wall_seconds;
-  const std::uint64_t accesses = record.network_hits +
-                                 record.network_misses + record.index_hits +
-                                 record.index_misses;
+  const std::uint64_t accesses =
+      record.counters.network_accesses() + record.counters.index_accesses();
   const bool pages_slow = config_.slow_page_accesses > 0 &&
                           accesses > config_.slow_page_accesses;
   return wall_slow || pages_slow;
@@ -146,8 +144,8 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
   trace.reason = reason;
   trace.queue_seconds = queue_seconds;
   trace.wall_seconds = record.wall_seconds;
-  trace.page_accesses = record.network_hits + record.network_misses +
-                        record.index_hits + record.index_misses;
+  trace.page_accesses =
+      record.counters.network_accesses() + record.counters.index_accesses();
   trace.profile = std::move(profile);
   const std::string trace_id = trace.TraceIdHex();
   traces_.Retain(std::move(trace));
@@ -160,13 +158,14 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
       LatencyMicros(record.wall_seconds), trace_id);
   // Pruning-power exemplars: point the dominance/bound-tightness series at
   // the same retained trace.
-  exemplars_.Observe(metric::kDominancePerformedHist, record.dominance_tests,
+  const Counters& c = record.counters;
+  exemplars_.Observe(metric::kDominancePerformedHist, c.dominance_tests,
                      trace_id);
-  exemplars_.Observe(metric::kDominanceAvoidedHist, record.dominance_avoided,
+  exemplars_.Observe(metric::kDominanceAvoidedHist, c.dominance_avoided,
                      trace_id);
-  if (record.bound_samples > 0) {
+  if (c.bound_samples > 0) {
     exemplars_.Observe(metric::kBoundTightnessHist,
-                       record.bound_pct_sum / record.bound_samples, trace_id);
+                       c.bound_pct_sum / c.bound_samples, trace_id);
   }
   return reason;
 }

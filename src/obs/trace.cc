@@ -16,27 +16,8 @@ double NowSeconds() {
 
 }  // namespace
 
-SpanCounters& SpanCounters::operator+=(const SpanCounters& other) {
-  network_hits += other.network_hits;
-  network_misses += other.network_misses;
-  index_hits += other.index_hits;
-  index_misses += other.index_misses;
-  settled_nodes += other.settled_nodes;
-  dominance_tests += other.dominance_tests;
-  dominance_avoided += other.dominance_avoided;
-  bound_pruned += other.bound_pruned;
-  bound_examined += other.bound_examined;
-  bound_samples += other.bound_samples;
-  bound_pct_sum += other.bound_pct_sum;
-  cache_wavefront_hits += other.cache_wavefront_hits;
-  cache_wavefront_misses += other.cache_wavefront_misses;
-  cache_memo_hits += other.cache_memo_hits;
-  cache_memo_misses += other.cache_memo_misses;
-  return *this;
-}
-
-SpanCounters QueryProfile::InclusiveCounters(std::size_t i) const {
-  SpanCounters total = spans[i].self;
+Counters QueryProfile::InclusiveCounters(std::size_t i) const {
+  Counters total = spans[i].self;
   // Children appear after their parent (spans are in open order), so one
   // forward sweep over descendants suffices.
   for (std::size_t j = i + 1; j < spans.size(); ++j) {
@@ -47,72 +28,29 @@ SpanCounters QueryProfile::InclusiveCounters(std::size_t i) const {
   return total;
 }
 
-SpanCounters QueryProfile::TotalCounters() const {
-  SpanCounters total;
+Counters QueryProfile::TotalCounters() const {
+  Counters total;
   for (const SpanRecord& span : spans) total += span.self;
   return total;
 }
 
 TraceSession::TraceSession(MetricsRegistry* registry)
     : per_thread_(registry == &GlobalMetrics()),
-      network_hits_(registry->counter(metric::kNetworkBufferHits)),
-      network_misses_(registry->counter(metric::kNetworkBufferMisses)),
-      index_hits_(registry->counter(metric::kIndexBufferHits)),
-      index_misses_(registry->counter(metric::kIndexBufferMisses)),
-      settled_nodes_(registry->counter(metric::kSettledNodes)),
-      dominance_tests_(registry->counter(metric::kDominanceTests)),
-      dominance_avoided_(registry->counter(metric::kDominanceAvoided)),
-      bound_pruned_(registry->counter(metric::kBoundPruned)),
-      bound_examined_(registry->counter(metric::kBoundExamined)),
-      bound_samples_(registry->counter(metric::kBoundSamples)),
-      bound_pct_sum_(registry->counter(metric::kBoundPctSum)),
-      cache_wavefront_hits_(
-          registry->counter(metric::kCacheWavefrontHits)),
-      cache_wavefront_misses_(
-          registry->counter(metric::kCacheWavefrontMisses)),
-      cache_memo_hits_(registry->counter(metric::kCacheMemoHits)),
-      cache_memo_misses_(registry->counter(metric::kCacheMemoMisses)),
-      heap_peak_(registry->gauge(metric::kHeapPeak)) {}
-
-TraceSession::Snapshot TraceSession::Read() const {
-  Snapshot snap;
-  if (per_thread_) {
-    // The instrumented hot paths bump the thread-local block alongside the
-    // global counters, so this thread's view is exact even while other
-    // workers advance the shared totals.
-    const ThreadCounters& tc = ThreadLocalCounters();
-    snap.network_hits = tc.network_hits;
-    snap.network_misses = tc.network_misses;
-    snap.index_hits = tc.index_hits;
-    snap.index_misses = tc.index_misses;
-    snap.settled_nodes = tc.settled_nodes;
-    snap.dominance_tests = tc.dominance_tests;
-    snap.dominance_avoided = tc.dominance_avoided;
-    snap.bound_pruned = tc.bound_pruned;
-    snap.bound_examined = tc.bound_examined;
-    snap.bound_samples = tc.bound_samples;
-    snap.bound_pct_sum = tc.bound_pct_sum;
-    snap.cache_wavefront_hits = tc.cache_wavefront_hits;
-    snap.cache_wavefront_misses = tc.cache_wavefront_misses;
-    snap.cache_memo_hits = tc.cache_memo_hits;
-    snap.cache_memo_misses = tc.cache_memo_misses;
-    return snap;
+      heap_peak_(registry->gauge(metric::kHeapPeak)) {
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    counters_[i] = registry->counter(kCounterRows[i].metric);
   }
-  snap.network_hits = network_hits_->value();
-  snap.network_misses = network_misses_->value();
-  snap.index_hits = index_hits_->value();
-  snap.index_misses = index_misses_->value();
-  snap.settled_nodes = settled_nodes_->value();
-  snap.dominance_tests = dominance_tests_->value();
-  snap.dominance_avoided = dominance_avoided_->value();
-  snap.bound_pruned = bound_pruned_->value();
-  snap.bound_examined = bound_examined_->value();
-  snap.bound_samples = bound_samples_->value();
-  snap.bound_pct_sum = bound_pct_sum_->value();
-  snap.cache_wavefront_hits = cache_wavefront_hits_->value();
-  snap.cache_wavefront_misses = cache_wavefront_misses_->value();
-  snap.cache_memo_hits = cache_memo_hits_->value();
-  snap.cache_memo_misses = cache_memo_misses_->value();
+}
+
+Counters TraceSession::Read() const {
+  // The instrumented hot paths bump the thread-local block alongside the
+  // global counters, so this thread's view is exact even while other
+  // workers advance the shared totals.
+  if (per_thread_) return ThreadLocalCounters();
+  Counters snap;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    snap.*kCounterRows[i].member = counters_[i]->value();
+  }
   return snap;
 }
 
@@ -137,29 +75,8 @@ void TraceSession::HeapMergePeak(double peak) {
 }
 
 void TraceSession::Attribute() {
-  const Snapshot now = Read();
-  if (!stack_.empty()) {
-    SpanCounters& self = spans_[stack_.back()].self;
-    self.network_hits += now.network_hits - last_.network_hits;
-    self.network_misses += now.network_misses - last_.network_misses;
-    self.index_hits += now.index_hits - last_.index_hits;
-    self.index_misses += now.index_misses - last_.index_misses;
-    self.settled_nodes += now.settled_nodes - last_.settled_nodes;
-    self.dominance_tests += now.dominance_tests - last_.dominance_tests;
-    self.dominance_avoided +=
-        now.dominance_avoided - last_.dominance_avoided;
-    self.bound_pruned += now.bound_pruned - last_.bound_pruned;
-    self.bound_examined += now.bound_examined - last_.bound_examined;
-    self.bound_samples += now.bound_samples - last_.bound_samples;
-    self.bound_pct_sum += now.bound_pct_sum - last_.bound_pct_sum;
-    self.cache_wavefront_hits +=
-        now.cache_wavefront_hits - last_.cache_wavefront_hits;
-    self.cache_wavefront_misses +=
-        now.cache_wavefront_misses - last_.cache_wavefront_misses;
-    self.cache_memo_hits += now.cache_memo_hits - last_.cache_memo_hits;
-    self.cache_memo_misses +=
-        now.cache_memo_misses - last_.cache_memo_misses;
-  }
+  const Counters now = Read();
+  if (!stack_.empty()) spans_[stack_.back()].self += now - last_;
   last_ = now;
 }
 

@@ -1,7 +1,7 @@
 // Query-phase tracing: TraceSession + RAII Span.
 //
 // A TraceSession records a tree of named spans. At every span open/close it
-// snapshots the tracked cross-layer counters (obs/metrics.h) and attributes
+// snapshots every row of the counter table (obs/metrics.h) and attributes
 // the delta since the previous snapshot to the span that was innermost over
 // that interval ("self" attribution). Because the deltas partition the
 // session's counter consumption, the self counters of all spans sum
@@ -14,6 +14,7 @@
 #ifndef MSQ_OBS_TRACE_H_
 #define MSQ_OBS_TRACE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -23,30 +24,6 @@
 #include "obs/metrics.h"
 
 namespace msq::obs {
-
-// Deltas of the tracked counters over one attribution interval.
-struct SpanCounters {
-  std::uint64_t network_hits = 0;    // buffer.network.hits
-  std::uint64_t network_misses = 0;  // buffer.network.misses
-  std::uint64_t index_hits = 0;      // buffer.index.hits
-  std::uint64_t index_misses = 0;    // buffer.index.misses
-  std::uint64_t settled_nodes = 0;   // graph.settled_nodes
-  std::uint64_t dominance_tests = 0;  // core.dominance_tests
-  // Pruning-power deltas (obs/metrics.h ThreadCounters for semantics).
-  std::uint64_t dominance_avoided = 0;  // core.dominance_avoided
-  std::uint64_t bound_pruned = 0;       // core.bound_pruned
-  std::uint64_t bound_examined = 0;     // core.bound_examined
-  std::uint64_t bound_samples = 0;      // core.bound_tightness_samples
-  std::uint64_t bound_pct_sum = 0;      // core.bound_tightness_pct_sum
-  // Cross-query cache consultations — a distinct access class, never part
-  // of the page-access counters above.
-  std::uint64_t cache_wavefront_hits = 0;    // cache.wavefront.hits
-  std::uint64_t cache_wavefront_misses = 0;  // cache.wavefront.misses
-  std::uint64_t cache_memo_hits = 0;         // cache.memo.hits
-  std::uint64_t cache_memo_misses = 0;       // cache.memo.misses
-
-  SpanCounters& operator+=(const SpanCounters& other);
-};
 
 // One finished span. Spans appear in open order; spans[0] of a profile is
 // the root covering the whole query.
@@ -58,7 +35,7 @@ struct SpanRecord {
   double end_seconds = 0.0;
   // Counter deltas attributed exclusively to this span (intervals where it
   // was the innermost open span).
-  SpanCounters self;
+  Counters self;
   // Wall time spent in direct children (self wall = duration - children).
   double child_seconds = 0.0;
   // High-water mark of the core.heap_peak gauge while this span was open
@@ -78,9 +55,9 @@ struct QueryProfile {
   std::size_t dropped_spans = 0;
 
   // Inclusive counters of span `i`: its self deltas plus all descendants'.
-  SpanCounters InclusiveCounters(std::size_t i) const;
+  Counters InclusiveCounters(std::size_t i) const;
   // Sum of self counters across every span (== root inclusive totals).
-  SpanCounters TotalCounters() const;
+  Counters TotalCounters() const;
 };
 
 // Records one span tree. Reusable: Take() returns the finished profile and
@@ -124,18 +101,7 @@ class TraceSession {
   bool detail() const { return detail_; }
 
  private:
-  struct Snapshot {
-    std::uint64_t network_hits = 0, network_misses = 0;
-    std::uint64_t index_hits = 0, index_misses = 0;
-    std::uint64_t settled_nodes = 0, dominance_tests = 0;
-    std::uint64_t dominance_avoided = 0, bound_pruned = 0;
-    std::uint64_t bound_examined = 0, bound_samples = 0;
-    std::uint64_t bound_pct_sum = 0;
-    std::uint64_t cache_wavefront_hits = 0, cache_wavefront_misses = 0;
-    std::uint64_t cache_memo_hits = 0, cache_memo_misses = 0;
-  };
-
-  Snapshot Read() const;
+  Counters Read() const;
   // Attributes the counter delta since the last snapshot to the innermost
   // open span (dropped if none) and advances the snapshot.
   void Attribute();
@@ -150,27 +116,14 @@ class TraceSession {
   // True when tracking the global registry: snapshots come from the calling
   // thread's ThreadCounters rather than the shared atomic totals.
   bool per_thread_;
-  Counter* network_hits_;
-  Counter* network_misses_;
-  Counter* index_hits_;
-  Counter* index_misses_;
-  Counter* settled_nodes_;
-  Counter* dominance_tests_;
-  Counter* dominance_avoided_;
-  Counter* bound_pruned_;
-  Counter* bound_examined_;
-  Counter* bound_samples_;
-  Counter* bound_pct_sum_;
-  Counter* cache_wavefront_hits_;
-  Counter* cache_wavefront_misses_;
-  Counter* cache_memo_hits_;
-  Counter* cache_memo_misses_;
+  // Registry counters of the table rows, in kCounterRows order.
+  std::array<Counter*, kCounterCount> counters_;
   Gauge* heap_peak_;
 
   std::vector<SpanRecord> spans_;
   std::vector<int> stack_;          // indices of open spans, root first
   std::vector<double> saved_peaks_;  // outer heap peaks, parallel to stack_
-  Snapshot last_;
+  Counters last_;
   double epoch_ = 0.0;
   std::size_t dropped_ = 0;
   bool detail_ = false;

@@ -29,7 +29,7 @@ void AppendHex(std::string* out, std::uint64_t value, int digits) {
 // One Chrome trace_event complete event. `ts`/`dur` in microseconds.
 void AppendEvent(std::string* out, bool* first, std::string_view name,
                  double ts_us, double dur_us, const std::string& trace_id,
-                 const SpanCounters* counters) {
+                 const Counters* counters) {
   if (!*first) *out += ",";
   *first = false;
   *out += "\n{\"name\":\"" + JsonEscape(name) + "\"";
@@ -45,10 +45,8 @@ void AppendEvent(std::string* out, bool* first, std::string_view name,
     AppendF(out, ",\"settled_nodes\":%" PRIu64, counters->settled_nodes);
     AppendF(out, ",\"dominance_tests\":%" PRIu64,
             counters->dominance_tests);
-    AppendF(out, ",\"cache_hits\":%" PRIu64,
-            counters->cache_wavefront_hits + counters->cache_memo_hits);
-    AppendF(out, ",\"cache_misses\":%" PRIu64,
-            counters->cache_wavefront_misses + counters->cache_memo_misses);
+    AppendF(out, ",\"cache_hits\":%" PRIu64, counters->cache_hits());
+    AppendF(out, ",\"cache_misses\":%" PRIu64, counters->cache_misses());
   }
   *out += "}}";
 }

@@ -358,7 +358,8 @@ std::string EncodeResultResponse(const ServeRequest& request,
   out += ",\"index_pages\":";
   AppendJsonNumber(&out, static_cast<double>(result.stats.index_pages));
   out += ",\"settled_nodes\":";
-  AppendJsonNumber(&out, static_cast<double>(result.stats.settled_nodes));
+  AppendJsonNumber(&out,
+                   static_cast<double>(result.stats.counters.settled_nodes));
   out += "}";
   if (request.explain && result.plan.has_value()) {
     out += ",\"plan\":";

@@ -373,9 +373,8 @@ MsqServer::Reply MsqServer::HandleQuery(const std::string& text,
       1e3;
   event.network_page_accesses = result.stats.network_page_accesses;
   event.index_page_accesses = result.stats.index_page_accesses;
-  event.cache_hits =
-      result.stats.cache_wavefront_hits + result.stats.cache_memo_hits;
-  event.settled_nodes = result.stats.settled_nodes;
+  event.cache_hits = result.stats.counters.cache_hits();
+  event.settled_nodes = result.stats.counters.settled_nodes;
   event.skyline_size = result.skyline.size();
   event.sequence = result.flight_sequence;
   event.status_code = static_cast<std::int32_t>(result.status.code());
@@ -758,26 +757,25 @@ void AppendFlightRecordJson(std::string* out,
   AppendJsonNumber(out, static_cast<double>(record.skyline_size));
   *out += ",\"wall_ms\":";
   AppendJsonNumber(out, record.wall_seconds * 1e3);
+  const obs::Counters& c = record.counters;
   *out += ",\"network_pages\":";
-  AppendJsonNumber(
-      out, static_cast<double>(record.network_hits + record.network_misses));
+  AppendJsonNumber(out, static_cast<double>(c.network_accesses()));
   *out += ",\"index_pages\":";
-  AppendJsonNumber(
-      out, static_cast<double>(record.index_hits + record.index_misses));
+  AppendJsonNumber(out, static_cast<double>(c.index_accesses()));
   *out += ",\"settled_nodes\":";
-  AppendJsonNumber(out, static_cast<double>(record.settled_nodes));
+  AppendJsonNumber(out, static_cast<double>(c.settled_nodes));
   *out += ",\"dominance_tests\":";
-  AppendJsonNumber(out, static_cast<double>(record.dominance_tests));
+  AppendJsonNumber(out, static_cast<double>(c.dominance_tests));
   *out += ",\"dominance_avoided\":";
-  AppendJsonNumber(out, static_cast<double>(record.dominance_avoided));
+  AppendJsonNumber(out, static_cast<double>(c.dominance_avoided));
   *out += ",\"bound_samples\":";
-  AppendJsonNumber(out, static_cast<double>(record.bound_samples));
+  AppendJsonNumber(out, static_cast<double>(c.bound_samples));
   *out += ",\"bound_pct_sum\":";
-  AppendJsonNumber(out, static_cast<double>(record.bound_pct_sum));
+  AppendJsonNumber(out, static_cast<double>(c.bound_pct_sum));
   *out += ",\"cache_hits\":";
-  AppendJsonNumber(out, static_cast<double>(record.cache_hits));
+  AppendJsonNumber(out, static_cast<double>(c.cache_hits()));
   *out += ",\"cache_misses\":";
-  AppendJsonNumber(out, static_cast<double>(record.cache_misses));
+  AppendJsonNumber(out, static_cast<double>(c.cache_misses()));
   *out += "}";
 }
 

@@ -22,7 +22,7 @@ TEST(StatsAccumulatorTest, MeansOverRuns) {
   a.skyline_size = 2;
   a.network_pages = 100;
   a.index_pages = 4;
-  a.settled_nodes = 1000;
+  a.counters.settled_nodes = 1000;
   a.total_seconds = 1.0;
   a.initial_seconds = 0.25;
   QueryStats b;
@@ -30,7 +30,7 @@ TEST(StatsAccumulatorTest, MeansOverRuns) {
   b.skyline_size = 4;
   b.network_pages = 200;
   b.index_pages = 8;
-  b.settled_nodes = 3000;
+  b.counters.settled_nodes = 3000;
   b.total_seconds = 3.0;
   b.initial_seconds = 0.75;
   acc.Add(a);
@@ -95,7 +95,7 @@ TEST(QueryStatsJsonLineTest, EmitsAllFieldsAndEscapesLabel) {
   stats.network_page_accesses = 40;
   stats.index_pages = 2;
   stats.index_page_accesses = 5;
-  stats.settled_nodes = 123;
+  stats.counters.settled_nodes = 123;
   stats.total_seconds = 0.5;
   stats.initial_seconds = 0.125;
   const std::string line = QueryStatsJsonLine("fig5.\"CE\"", stats);

@@ -44,11 +44,11 @@ void ExpectSameSkyline(const SkylineResult& got, const SkylineResult& want,
 }
 
 std::uint64_t CacheHits(const QueryStats& stats) {
-  return stats.cache_wavefront_hits + stats.cache_memo_hits;
+  return stats.counters.cache_hits();
 }
 
 std::uint64_t CacheMisses(const QueryStats& stats) {
-  return stats.cache_wavefront_misses + stats.cache_memo_misses;
+  return stats.counters.cache_misses();
 }
 
 TEST(CacheCorrectnessTest, WarmRunsAreByteIdenticalAndCheaper) {
@@ -261,22 +261,24 @@ TEST(CacheCorrectnessTest, CacheCountersReconcileExactly) {
   ASSERT_TRUE(warm.status.ok());
   const QueryCache::Stats after = cache.stats();
 
-  EXPECT_GT(warm.stats.cache_wavefront_hits, 0u);
+  EXPECT_GT(warm.stats.counters.cache_wavefront_hits, 0u);
   EXPECT_EQ(after.wavefront_hits - before.wavefront_hits,
-            warm.stats.cache_wavefront_hits);
+            warm.stats.counters.cache_wavefront_hits);
   EXPECT_EQ(after.wavefront_misses - before.wavefront_misses,
-            warm.stats.cache_wavefront_misses);
-  EXPECT_EQ(after.memo_hits - before.memo_hits, warm.stats.cache_memo_hits);
+            warm.stats.counters.cache_wavefront_misses);
+  EXPECT_EQ(after.memo_hits - before.memo_hits,
+            warm.stats.counters.cache_memo_hits);
   EXPECT_EQ(after.memo_misses - before.memo_misses,
-            warm.stats.cache_memo_misses);
+            warm.stats.counters.cache_memo_misses);
 
   ASSERT_TRUE(warm.profile.has_value());
-  const obs::SpanCounters totals = warm.profile->TotalCounters();
-  EXPECT_EQ(totals.cache_wavefront_hits, warm.stats.cache_wavefront_hits);
+  const obs::Counters totals = warm.profile->TotalCounters();
+  EXPECT_EQ(totals.cache_wavefront_hits,
+            warm.stats.counters.cache_wavefront_hits);
   EXPECT_EQ(totals.cache_wavefront_misses,
-            warm.stats.cache_wavefront_misses);
-  EXPECT_EQ(totals.cache_memo_hits, warm.stats.cache_memo_hits);
-  EXPECT_EQ(totals.cache_memo_misses, warm.stats.cache_memo_misses);
+            warm.stats.counters.cache_wavefront_misses);
+  EXPECT_EQ(totals.cache_memo_hits, warm.stats.counters.cache_memo_hits);
+  EXPECT_EQ(totals.cache_memo_misses, warm.stats.counters.cache_memo_misses);
 }
 
 }  // namespace

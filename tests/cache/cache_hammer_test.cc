@@ -86,10 +86,10 @@ TEST(CacheHammerTest, WarmConcurrentBatchesStayByteIdentical) {
         EXPECT_EQ(got.skyline[j].vector, want.skyline[j].vector)
             << "round " << round << " request " << i;
       }
-      wavefront_hits += got.stats.cache_wavefront_hits;
-      wavefront_misses += got.stats.cache_wavefront_misses;
-      memo_hits += got.stats.cache_memo_hits;
-      memo_misses += got.stats.cache_memo_misses;
+      wavefront_hits += got.stats.counters.cache_wavefront_hits;
+      wavefront_misses += got.stats.counters.cache_wavefront_misses;
+      memo_hits += got.stats.counters.cache_memo_hits;
+      memo_misses += got.stats.counters.cache_memo_misses;
     }
   }
 

@@ -168,7 +168,7 @@ TEST(CeTest, NetworkPagesCounted) {
   const auto spec = workload->SampleQuery(2, 2);
   const auto result = RunCe(workload->dataset(), spec);
   EXPECT_GT(result.stats.network_pages, 0u);
-  EXPECT_GT(result.stats.settled_nodes, 0u);
+  EXPECT_GT(result.stats.counters.settled_nodes, 0u);
 }
 
 TEST(CeTest, RefinementTiesJoinOpenListAndArePrunedLater) {
@@ -209,9 +209,9 @@ TEST(CeTest, RefinementTiesJoinOpenListAndArePrunedLater) {
   // Recorded from the full-object-scan prune loop this replaced: the open
   // list must run the same ProvablyDominates checks.
   EXPECT_EQ(got.stats.candidate_count, 2u);
-  EXPECT_EQ(got.stats.bound_pruned, 2u);   // Y discarded, X pruned
-  EXPECT_EQ(got.stats.bound_examined, 3u);  // F, D and S completed
-  EXPECT_EQ(got.stats.dominance_tests, 9u);
+  EXPECT_EQ(got.stats.counters.bound_pruned, 2u);   // Y discarded, X pruned
+  EXPECT_EQ(got.stats.counters.bound_examined, 3u);  // F, D and S completed
+  EXPECT_EQ(got.stats.counters.dominance_tests, 9u);
 }
 
 }  // namespace

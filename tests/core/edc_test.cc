@@ -184,9 +184,9 @@ TEST(EdcTest, SingleCompletionPassMatchesNaiveAndFixpointCounts) {
     EXPECT_EQ(testing::SkylineIds(batch), testing::SkylineIds(expected));
     EXPECT_EQ(testing::SkylineIds(inc), testing::SkylineIds(expected));
     EXPECT_EQ(batch.stats.candidate_count, c.batch_candidates);
-    EXPECT_EQ(batch.stats.settled_nodes, c.batch_settled);
+    EXPECT_EQ(batch.stats.counters.settled_nodes, c.batch_settled);
     EXPECT_EQ(inc.stats.candidate_count, c.inc_candidates);
-    EXPECT_EQ(inc.stats.settled_nodes, c.inc_settled);
+    EXPECT_EQ(inc.stats.counters.settled_nodes, c.inc_settled);
   }
 
   SkylineQuerySpec spec;
@@ -197,9 +197,9 @@ TEST(EdcTest, SingleCompletionPassMatchesNaiveAndFixpointCounts) {
   EXPECT_EQ(testing::SkylineIds(batch), (std::vector<ObjectId>{0, 1}));
   EXPECT_EQ(testing::SkylineIds(inc), (std::vector<ObjectId>{0, 1}));
   EXPECT_EQ(batch.stats.candidate_count, 2u);
-  EXPECT_EQ(batch.stats.settled_nodes, 4u);
+  EXPECT_EQ(batch.stats.counters.settled_nodes, 4u);
   EXPECT_EQ(inc.stats.candidate_count, 2u);
-  EXPECT_EQ(inc.stats.settled_nodes, 4u);
+  EXPECT_EQ(inc.stats.counters.settled_nodes, 4u);
 }
 
 TEST(EdcTest, PaperFaithfulOftenExactOnLowDetourNetworks) {
@@ -224,7 +224,7 @@ TEST(EdcTest, UsesAStarNotFullSweep) {
   auto workload = testing::MakeRandomWorkload(800, 1150, 0.3, 37);
   const auto spec = workload->SampleQuery(3, 6);
   const auto result = RunEdc(workload->dataset(), spec);
-  EXPECT_LT(result.stats.settled_nodes,
+  EXPECT_LT(result.stats.counters.settled_nodes,
             3 * workload->network().node_count());
 }
 

@@ -41,7 +41,8 @@ TEST(LbcTest, PlbSavesNetworkAccess) {
   const auto without =
       RunLbc(workload->dataset(), spec, LbcOptions{.use_plb = false});
   EXPECT_EQ(testing::SkylineIds(with_plb), testing::SkylineIds(without));
-  EXPECT_LE(with_plb.stats.settled_nodes, without.stats.settled_nodes);
+  EXPECT_LE(with_plb.stats.counters.settled_nodes,
+            without.stats.counters.settled_nodes);
 }
 
 TEST(LbcTest, VectorsMatchNaive) {

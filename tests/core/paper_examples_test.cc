@@ -152,7 +152,7 @@ TEST(Figure3Test, LbcNetworkAccessAtMostCe) {
     const auto spec = workload->SampleQuery(3, seed);
     const auto lbc = RunLbc(workload->dataset(), spec);
     const auto ce = RunCe(workload->dataset(), spec);
-    EXPECT_LE(lbc.stats.settled_nodes, ce.stats.settled_nodes)
+    EXPECT_LE(lbc.stats.counters.settled_nodes, ce.stats.counters.settled_nodes)
         << "seed " << seed;
   }
 }

@@ -96,7 +96,7 @@ TEST(ConcurrentHammerTest, MixedAlgorithmsUnderFaultsMatchTheOracles) {
     }
     net_sum += got.stats.network_page_accesses;
     idx_sum += got.stats.index_page_accesses;
-    settled_sum += got.stats.settled_nodes;
+    settled_sum += got.stats.counters.settled_nodes;
   }
 
   // Conservation: the 24 private per-query counters partition the global

@@ -134,8 +134,8 @@ TEST(ExecutorPlanTest, WarmCachePlansAttributeTiersAndStillReconcile) {
     // of where those hits landed.
     warm_tier_hits += warm[i].plan->tiers.memo_hits +
                       warm[i].plan->tiers.wavefront_exact;
-    warm_cache_hits += warm[i].stats.cache_memo_hits +
-                       warm[i].stats.cache_wavefront_hits;
+    warm_cache_hits += warm[i].stats.counters.cache_memo_hits +
+                       warm[i].stats.counters.cache_wavefront_hits;
   }
   EXPECT_GT(warm_cache_hits, 0u);
   EXPECT_GT(warm_tier_hits, 0u);

@@ -123,7 +123,8 @@ TEST(CeParallelSourceTest, SkylineByteIdenticalToSequential) {
                 sequential.stats.candidate_count)
           << "dims=" << dims << " seed=" << seed;
       EXPECT_EQ(parallel.stats.skyline_size, sequential.stats.skyline_size);
-      EXPECT_GE(parallel.stats.settled_nodes, sequential.stats.settled_nodes);
+      EXPECT_GE(parallel.stats.counters.settled_nodes,
+                sequential.stats.counters.settled_nodes);
     }
   }
 }
@@ -142,7 +143,8 @@ TEST(CeParallelSourceTest, StatsAreDeterministicAcrossRepeats) {
   ExpectSameSkyline(second, first);
   // Chunk boundaries depend on the deterministic consumption order, not on
   // thread scheduling, so even the read-ahead work is reproducible.
-  EXPECT_EQ(first.stats.settled_nodes, second.stats.settled_nodes);
+  EXPECT_EQ(first.stats.counters.settled_nodes,
+            second.stats.counters.settled_nodes);
   EXPECT_EQ(first.stats.network_pages, second.stats.network_pages);
   EXPECT_EQ(first.stats.network_page_accesses,
             second.stats.network_page_accesses);

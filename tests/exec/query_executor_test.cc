@@ -12,6 +12,7 @@
 #include "core/skyline_query.h"
 #include "exec/query_executor.h"
 #include "gen/workloads.h"
+#include "obs/plan.h"
 #include "testing_support.h"
 
 namespace msq {
@@ -77,7 +78,8 @@ TEST(QueryExecutorTest, BatchMatchesSequentialRunByteForByte) {
     }
     // Cache-independent work counters are identical too; page counts are
     // not compared (they depend on what the shared pool happens to hold).
-    EXPECT_EQ(got.stats.settled_nodes, want.stats.settled_nodes);
+    EXPECT_EQ(got.stats.counters.settled_nodes,
+              want.stats.counters.settled_nodes);
     EXPECT_EQ(got.stats.candidate_count, want.stats.candidate_count);
     EXPECT_EQ(got.stats.skyline_size, want.stats.skyline_size);
   }
@@ -116,14 +118,8 @@ TEST(QueryExecutorTest, ProfilesReconcileExactlyUnderConcurrency) {
     // Per-thread counter attribution: the profile's span totals must equal
     // this query's own stats even while three other workers hammer the
     // same two buffer pools.
-    const obs::SpanCounters totals = result.profile->TotalCounters();
-    EXPECT_EQ(totals.settled_nodes, result.stats.settled_nodes);
-    EXPECT_EQ(totals.network_hits + totals.network_misses,
-              result.stats.network_page_accesses);
-    EXPECT_EQ(totals.network_misses, result.stats.network_pages);
-    EXPECT_EQ(totals.index_hits + totals.index_misses,
-              result.stats.index_page_accesses);
-    EXPECT_EQ(totals.index_misses, result.stats.index_pages);
+    EXPECT_EQ(obs::ReconcileProfile(*result.profile, result.stats), "")
+        << "request " << i;
   }
 }
 

@@ -202,10 +202,10 @@ TEST(LandmarkIndexTest, LandmarksReduceLbcNetworkAccess) {
     const auto spec_wo = workload_without.SampleQuery(4, seed);
     workload_with.ResetBuffers();
     settled_with +=
-        RunLbc(workload_with.dataset(), spec_w).stats.settled_nodes;
+        RunLbc(workload_with.dataset(), spec_w).stats.counters.settled_nodes;
     workload_without.ResetBuffers();
-    settled_without +=
-        RunLbc(workload_without.dataset(), spec_wo).stats.settled_nodes;
+    settled_without += RunLbc(workload_without.dataset(), spec_wo)
+                           .stats.counters.settled_nodes;
   }
   EXPECT_LT(settled_with, settled_without);
 }

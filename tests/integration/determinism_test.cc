@@ -165,7 +165,8 @@ TEST(SimplifyIntegrationTest, SimplifiedNetworkCostsLess) {
                                       workload_simp.dataset(), spec_simp);
   // Fewer nodes to settle on the contracted topology (different object
   // sets, so compare the infrastructure cost only).
-  EXPECT_LT(r_simp.stats.settled_nodes, r_orig.stats.settled_nodes);
+  EXPECT_LT(r_simp.stats.counters.settled_nodes,
+            r_orig.stats.counters.settled_nodes);
 }
 
 }  // namespace

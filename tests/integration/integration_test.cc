@@ -44,7 +44,7 @@ TEST(IntegrationTest, MetricsDifferAcrossAlgorithms) {
       RunSkylineQuery(Algorithm::kLbc, workload.dataset(), spec);
 
   // LBC's headline property: far less network access than CE.
-  EXPECT_LT(lbc.stats.settled_nodes, ce.stats.settled_nodes);
+  EXPECT_LT(lbc.stats.counters.settled_nodes, ce.stats.counters.settled_nodes);
   EXPECT_LE(lbc.stats.network_pages, ce.stats.network_pages);
 }
 

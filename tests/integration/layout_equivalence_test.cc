@@ -161,14 +161,12 @@ TEST(LayoutEquivalenceTest, RelayoutEpochBumpInvalidatesWarmCache) {
   workload->ResetBuffers();
   const SkylineResult cold = RunSkylineQuery(Algorithm::kCe, dataset, spec);
   ExpectByteIdentical(cold, baseline, "cold cached");
-  EXPECT_GT(cold.stats.cache_wavefront_misses + cold.stats.cache_memo_misses,
-            0u);
+  EXPECT_GT(cold.stats.counters.cache_misses(), 0u);
 
   workload->ResetBuffers();
   const SkylineResult warm = RunSkylineQuery(Algorithm::kCe, dataset, spec);
   ExpectByteIdentical(warm, baseline, "warm cached");
-  const std::uint64_t warm_hits =
-      warm.stats.cache_wavefront_hits + warm.stats.cache_memo_hits;
+  const std::uint64_t warm_hits = warm.stats.counters.cache_hits();
   EXPECT_GT(warm_hits, 0u);
 
   // Same workload, same cache, new layout: the epoch bump alone must make
@@ -179,18 +177,16 @@ TEST(LayoutEquivalenceTest, RelayoutEpochBumpInvalidatesWarmCache) {
   workload->ResetBuffers();
   const SkylineResult after = RunSkylineQuery(Algorithm::kCe, relaid, spec);
   ExpectByteIdentical(after, baseline, "post-relayout");
-  EXPECT_EQ(after.stats.cache_wavefront_hits, 0u);
-  EXPECT_EQ(after.stats.cache_memo_hits, 0u);
-  EXPECT_GT(
-      after.stats.cache_wavefront_misses + after.stats.cache_memo_misses, 0u);
+  EXPECT_EQ(after.stats.counters.cache_wavefront_hits, 0u);
+  EXPECT_EQ(after.stats.counters.cache_memo_hits, 0u);
+  EXPECT_GT(after.stats.counters.cache_misses(), 0u);
 
   // Entries written under the NEW epoch are live again — invalidation was
   // epoch-targeted, not a blanket cache wipe.
   workload->ResetBuffers();
   const SkylineResult rewarm = RunSkylineQuery(Algorithm::kCe, relaid, spec);
   ExpectByteIdentical(rewarm, baseline, "post-relayout warm");
-  EXPECT_GT(rewarm.stats.cache_wavefront_hits + rewarm.stats.cache_memo_hits,
-            0u);
+  EXPECT_GT(rewarm.stats.counters.cache_hits(), 0u);
 }
 
 }  // namespace

@@ -21,10 +21,10 @@ FlightRecord MakeRecord(std::uint64_t tag) {
   record.algorithm = static_cast<std::uint32_t>(tag % 3);
   record.skyline_size = tag;
   record.wall_seconds = static_cast<double>(tag) * 1e-3;
-  record.network_hits = tag;
-  record.network_misses = tag + 1;
-  record.settled_nodes = tag * 7;
-  record.dominance_tests = tag * 11;
+  record.counters.network_hits = tag;
+  record.counters.network_misses = tag + 1;
+  record.counters.settled_nodes = tag * 7;
+  record.counters.dominance_tests = tag * 11;
   return record;
 }
 
@@ -57,7 +57,7 @@ TEST(FlightRecorderTest, WrapKeepsMostRecentCapacityRecords) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].sequence, 7 + i);
     EXPECT_EQ(records[i].skyline_size, 7 + i);
-    EXPECT_EQ(records[i].network_misses, 7 + i + 1);
+    EXPECT_EQ(records[i].counters.network_misses, 7 + i + 1);
   }
 }
 
@@ -92,8 +92,8 @@ TEST(FlightRecorderHammerTest, ConcurrentWritersNoLostOrTornRecords) {
             static_cast<std::uint64_t>(w) * kPerWriter + i;
         record.spec_digest = tag;
         record.skyline_size = tag;
-        record.settled_nodes = tag * 3;
-        record.dominance_tests = tag * 5;
+        record.counters.settled_nodes = tag * 3;
+        record.counters.dominance_tests = tag * 5;
         recorder.Record(record);
       }
     });
@@ -105,8 +105,8 @@ TEST(FlightRecorderHammerTest, ConcurrentWritersNoLostOrTornRecords) {
     while (!writers_done.load(std::memory_order_acquire)) {
       for (const FlightRecord& r : recorder.Snapshot()) {
         ASSERT_EQ(r.skyline_size, r.spec_digest);
-        ASSERT_EQ(r.settled_nodes, r.spec_digest * 3);
-        ASSERT_EQ(r.dominance_tests, r.spec_digest * 5);
+        ASSERT_EQ(r.counters.settled_nodes, r.spec_digest * 3);
+        ASSERT_EQ(r.counters.dominance_tests, r.spec_digest * 5);
       }
     }
   });
@@ -128,8 +128,8 @@ TEST(FlightRecorderHammerTest, ConcurrentWritersNoLostOrTornRecords) {
     EXPECT_GE(r.sequence, 1u);
     EXPECT_LE(r.sequence, kWriters * kPerWriter);
     EXPECT_EQ(r.skyline_size, r.spec_digest);
-    EXPECT_EQ(r.settled_nodes, r.spec_digest * 3);
-    EXPECT_EQ(r.dominance_tests, r.spec_digest * 5);
+    EXPECT_EQ(r.counters.settled_nodes, r.spec_digest * 3);
+    EXPECT_EQ(r.counters.dominance_tests, r.spec_digest * 5);
   }
   // Snapshot is sorted oldest-first and the retained window is recent: all
   // surviving sequences come from the last 2*capacity completions (a slot

@@ -212,9 +212,10 @@ void ExpectPlanReconciles(Algorithm algorithm, std::uint64_t seed) {
   EXPECT_EQ(plan.tiers.memo_hits, 0u);
   EXPECT_EQ(plan.tiers.wavefront_exact, 0u);
   EXPECT_GT(plan.tiers.computed, 0u);
-  EXPECT_EQ(plan.cache_hits, 0u);
-  EXPECT_EQ(plan.dominance_tests, run.result.stats.dominance_tests);
-  EXPECT_GT(plan.dominance_tests, 0u);
+  EXPECT_EQ(plan.counters.cache_hits(), 0u);
+  EXPECT_EQ(plan.counters.dominance_tests,
+            run.result.stats.counters.dominance_tests);
+  EXPECT_GT(plan.counters.dominance_tests, 0u);
 }
 
 TEST(PlanReconcileTest, NaivePlanReconcilesWithQueryStats) {
@@ -244,10 +245,10 @@ TEST(PlanReconcileTest, BoundAlgorithmsTakeTightnessSamples) {
   // counter path) must both be non-empty and agree.
   for (const Algorithm algorithm : {Algorithm::kEdc, Algorithm::kLbc}) {
     const PlanRun run = RunAndReconcile(algorithm, 31);
-    EXPECT_GT(run.plan.bound_tightness_samples, 0u)
+    EXPECT_GT(run.plan.counters.bound_samples, 0u)
         << AlgorithmName(algorithm);
     EXPECT_EQ(run.plan.bound_tightness.count,
-              run.plan.bound_tightness_samples);
+              run.plan.counters.bound_samples);
     // Tightness is a percent plb/dN with plb <= dN, so the mean lies in
     // (0, 100].
     EXPECT_GT(run.plan.mean_tightness_pct(), 0.0);
@@ -259,7 +260,7 @@ TEST(PlanReconcileTest, ReconcileDetectsEveryTamperedCounter) {
   PlanRun run = RunAndReconcile(Algorithm::kLbc, 37);
   // Scalar twin drift.
   obs::ExecutionPlan tampered = run.plan;
-  tampered.dominance_tests += 1;
+  tampered.counters.dominance_tests += 1;
   EXPECT_NE(obs::ReconcilePlan(tampered, run.result.stats), "");
   // Histogram-vs-counter drift (the two independent sample paths).
   tampered = run.plan;
@@ -326,7 +327,7 @@ TEST(PlanReconcileTest, ExplainzJsonAggregatesPerAlgorithm) {
   // An accounted-but-never-retained completion still shows in the rollup.
   obs::PlanStore rollup_only;
   QueryStats stats;
-  stats.dominance_tests = 10;
+  stats.counters.dominance_tests = 10;
   rollup_only.Account("edc", stats);
   const std::string rollup = obs::ExplainzJson(rollup_only);
   EXPECT_TRUE(JsonValidator(rollup).Valid());
@@ -366,7 +367,7 @@ TEST(PlanReconcileTest, UncollectedRunBuildsBarePlanThatStillReconciles) {
   const SkylineResult result =
       RunSkylineQuery(Algorithm::kCe, workload->dataset(), spec);
   ASSERT_TRUE(result.status.ok());
-  ASSERT_EQ(result.stats.bound_tightness_samples, 0u);
+  ASSERT_EQ(result.stats.counters.bound_samples, 0u);
   const obs::ExecutionPlan plan = obs::BuildExecutionPlan(
       "ce", result.stats, /*profile=*/nullptr, /*collector=*/nullptr,
       result.truncated);

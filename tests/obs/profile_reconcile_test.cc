@@ -9,6 +9,7 @@
 
 #include "core/skyline_query.h"
 #include "obs/export.h"
+#include "obs/plan.h"
 #include "obs/trace.h"
 #include "testing_support.h"
 
@@ -168,28 +169,9 @@ void ExpectProfileMatchesStats(Algorithm algorithm, std::uint64_t seed) {
   EXPECT_EQ(profile.spans[0].parent, -1);
   EXPECT_EQ(profile.dropped_spans, 0u);
 
-  const obs::SpanCounters total = profile.TotalCounters();
-  EXPECT_EQ(total.network_misses, result.stats.network_pages);
-  EXPECT_EQ(total.network_hits + total.network_misses,
-            result.stats.network_page_accesses);
-  EXPECT_EQ(total.index_misses, result.stats.index_pages);
-  EXPECT_EQ(total.index_hits + total.index_misses,
-            result.stats.index_page_accesses);
-  EXPECT_EQ(total.settled_nodes, result.stats.settled_nodes);
-  // Cache consultations reconcile as their own access class (zero in this
-  // cacheless harness, non-zero coverage lives in tests/cache/).
-  EXPECT_EQ(total.cache_wavefront_hits, result.stats.cache_wavefront_hits);
-  EXPECT_EQ(total.cache_wavefront_misses,
-            result.stats.cache_wavefront_misses);
-  EXPECT_EQ(total.cache_memo_hits, result.stats.cache_memo_hits);
-  EXPECT_EQ(total.cache_memo_misses, result.stats.cache_memo_misses);
-
-  // Self counters are an exact partition: summing them must also equal the
-  // root span's inclusive view.
-  const obs::SpanCounters root = profile.InclusiveCounters(0);
-  EXPECT_EQ(root.network_misses, total.network_misses);
-  EXPECT_EQ(root.settled_nodes, total.settled_nodes);
-  EXPECT_EQ(root.dominance_tests, total.dominance_tests);
+  // Every counter row, the page fields, the root-inclusive partition and
+  // the derived pages_per_settled_node figure (obs/plan.h).
+  EXPECT_EQ(obs::ReconcileProfile(profile, result.stats), "");
 
   // Trace window timing must cover the stats window (both are the same
   // program points, so the root duration matches total_seconds closely;
@@ -288,11 +270,11 @@ TEST(ProfileReconcileTest, ProfileReportAggregatesPhases) {
   // derivation reconciles exactly with QueryStats (same integers through
   // the same function).
   EXPECT_NE(report.find("pages_per_settled_node"), std::string::npos);
-  const obs::SpanCounters total = result.profile->TotalCounters();
+  const obs::Counters total = result.profile->TotalCounters();
   EXPECT_EQ(
       obs::PagesPerSettledNode(total.network_misses, total.settled_nodes),
       obs::PagesPerSettledNode(result.stats.network_pages,
-                               result.stats.settled_nodes));
+                               result.stats.counters.settled_nodes));
   EXPECT_EQ(obs::PagesPerSettledNode(0, 0), 0.0);
   EXPECT_EQ(obs::PagesPerSettledNode(6, 4), 1.5);
 }

@@ -139,7 +139,7 @@ TEST(RequestTest, ResultResponseRoundTripsThroughParser) {
   result.skyline.push_back(entry);
   result.stats.network_pages = 3;
   result.stats.index_pages = 1;
-  result.stats.settled_nodes = 42;
+  result.stats.counters.settled_nodes = 42;
 
   const std::string body =
       EncodeResultResponse(request, result, /*returned=*/1,

@@ -117,56 +117,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   return true;
 }
 
-// Checks the tracer's defining invariant: the profile's self-counter sums
-// must equal the query's top-level QueryStats exactly. Prints every
-// mismatching measure; returns false on any mismatch so main can exit
-// non-zero (the CI gate).
-bool ReconcileProfile(const obs::QueryProfile& profile,
-                      const QueryStats& stats) {
-  const obs::SpanCounters total = profile.TotalCounters();
-  bool ok = true;
-  auto check = [&ok](const char* what, std::uint64_t from_spans,
-                     std::uint64_t from_stats) {
-    if (from_spans == from_stats) return;
-    std::fprintf(stderr,
-                 "reconciliation FAILED: %s — span self-sum %llu != "
-                 "QueryStats %llu\n",
-                 what, static_cast<unsigned long long>(from_spans),
-                 static_cast<unsigned long long>(from_stats));
-    ok = false;
-  };
-  check("network pages (misses)", total.network_misses,
-        stats.network_pages);
-  check("network page accesses", total.network_hits + total.network_misses,
-        stats.network_page_accesses);
-  check("index pages (misses)", total.index_misses, stats.index_pages);
-  check("index page accesses", total.index_hits + total.index_misses,
-        stats.index_page_accesses);
-  check("settled nodes", total.settled_nodes, stats.settled_nodes);
-  check("cache wavefront hits", total.cache_wavefront_hits,
-        stats.cache_wavefront_hits);
-  check("cache wavefront misses", total.cache_wavefront_misses,
-        stats.cache_wavefront_misses);
-  check("cache memo hits", total.cache_memo_hits, stats.cache_memo_hits);
-  check("cache memo misses", total.cache_memo_misses,
-        stats.cache_memo_misses);
-  // The derived pages_per_settled_node figure must reconcile too: the
-  // span-side and QueryStats-side derivations divide the same integers
-  // through the same function, so they must agree bit-for-bit.
-  const double from_spans =
-      obs::PagesPerSettledNode(total.network_misses, total.settled_nodes);
-  const double from_stats = obs::PagesPerSettledNode(
-      stats.network_pages, stats.settled_nodes);
-  if (from_spans != from_stats) {
-    std::fprintf(stderr,
-                 "reconciliation FAILED: pages_per_settled_node — span "
-                 "derivation %.17g != QueryStats derivation %.17g\n",
-                 from_spans, from_stats);
-    ok = false;
-  }
-  return ok;
-}
-
 bool WriteFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -212,11 +162,11 @@ int main(int argc, char** argv) {
               opts.density, opts.sources,
               static_cast<unsigned long long>(opts.seed));
   std::printf(
-      "skyline %zu, candidates %zu, settled %zu, "
+      "skyline %zu, candidates %zu, settled %llu, "
       "network pages %llu (%llu accesses), index pages %llu (%llu "
       "accesses), %.2f ms total / %.2f ms initial\n\n",
       result.stats.skyline_size, result.stats.candidate_count,
-      result.stats.settled_nodes,
+      static_cast<unsigned long long>(result.stats.counters.settled_nodes),
       static_cast<unsigned long long>(result.stats.network_pages),
       static_cast<unsigned long long>(result.stats.network_page_accesses),
       static_cast<unsigned long long>(result.stats.index_pages),
@@ -231,7 +181,12 @@ int main(int argc, char** argv) {
     }
     // Span-vs-QueryStats reconciliation is the tracer's core invariant
     // (DESIGN.md §9); a mismatch is a bug, so fail the run for CI.
-    if (!ReconcileProfile(*result.profile, result.stats)) return 1;
+    const std::string mismatch =
+        obs::ReconcileProfile(*result.profile, result.stats);
+    if (!mismatch.empty()) {
+      std::fprintf(stderr, "reconciliation FAILED: %s\n", mismatch.c_str());
+      return 1;
+    }
     std::printf("\nprofile reconciles with QueryStats\n");
   } else {
     std::fprintf(stderr, "traced query returned no profile\n");
@@ -256,12 +211,12 @@ int main(int argc, char** argv) {
       "bounds pruned %llu / examined %llu, mean tightness %.1f%% "
       "(%llu samples), lookups memo %llu / wavefront %llu / computed "
       "%llu\n",
-      static_cast<unsigned long long>(plan.dominance_tests),
-      static_cast<unsigned long long>(plan.dominance_tests_avoided),
-      static_cast<unsigned long long>(plan.bound_pruned),
-      static_cast<unsigned long long>(plan.bound_examined),
+      static_cast<unsigned long long>(plan.counters.dominance_tests),
+      static_cast<unsigned long long>(plan.counters.dominance_avoided),
+      static_cast<unsigned long long>(plan.counters.bound_pruned),
+      static_cast<unsigned long long>(plan.counters.bound_examined),
       plan.mean_tightness_pct(),
-      static_cast<unsigned long long>(plan.bound_tightness_samples),
+      static_cast<unsigned long long>(plan.counters.bound_samples),
       static_cast<unsigned long long>(plan.tiers.memo_hits),
       static_cast<unsigned long long>(plan.tiers.wavefront_exact),
       static_cast<unsigned long long>(plan.tiers.computed));

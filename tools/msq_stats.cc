@@ -185,9 +185,10 @@ std::string FlightJson(const std::vector<obs::FlightRecord>& records) {
         std::string(AlgorithmName(static_cast<Algorithm>(r.algorithm)))
             .c_str(),
         r.status_code, r.truncation, r.source_count, r.skyline_size,
-        r.wall_seconds, r.network_hits + r.network_misses, r.network_misses,
-        r.index_hits + r.index_misses, r.settled_nodes, r.dominance_tests,
-        r.cache_hits);
+        r.wall_seconds, r.counters.network_accesses(),
+        r.counters.network_misses, r.counters.index_accesses(),
+        r.counters.settled_nodes, r.counters.dominance_tests,
+        r.counters.cache_hits());
     out += buf;
     out += i + 1 < records.size() ? ",\n" : "\n";
   }
