@@ -3,7 +3,9 @@
 // and A* expansion, and the Euclidean skyline browser.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dominance.h"
@@ -139,6 +141,38 @@ void BM_AStarPointToPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AStarPointToPoint)->Arg(3000)->Arg(20000);
+
+// EDC's distance pattern: one search from a query point computes exact
+// distances to a run of candidates that lie close to each other (here the
+// Arg(1) target locations nearest a point part-way across the network,
+// visited nearest first, as an R-tree NN browse would hand them out). Each
+// probe after the first starts from the frontier the previous ones left.
+void BM_AStarProbeSequence(benchmark::State& state) {
+  GraphFixture f(static_cast<std::size_t>(state.range(0)));
+  const std::size_t count = static_cast<std::size_t>(state.range(1));
+  const Point center = f.network.LocationPosition(
+      Location{static_cast<EdgeId>(f.network.edge_count() / 3), 0.0});
+  std::vector<Location> targets;
+  for (EdgeId e = 0; e < f.network.edge_count(); ++e) {
+    targets.push_back(Location{e, f.network.EdgeAt(e).length * 0.5});
+  }
+  const auto nearer = [&](const Location& a, const Location& b) {
+    return EuclideanDistance(f.network.LocationPosition(a), center) <
+           EuclideanDistance(f.network.LocationPosition(b), center);
+  };
+  std::partial_sort(targets.begin(), targets.begin() + count, targets.end(),
+                    nearer);
+  targets.resize(count);
+  for (auto _ : state) {
+    AStarSearch search(&f.pager, Location{0, 0.0});
+    for (const Location& target : targets) {
+      benchmark::DoNotOptimize(search.DistanceTo(target));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_AStarProbeSequence)->Args({20000, 64});
 
 void BM_NnStreamFirst10(benchmark::State& state) {
   GraphFixture f(10000);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -34,9 +35,9 @@ AStarSearch::AStarSearch(const GraphPager* pager, Location source,
 
 void AStarSearch::Improve(NodeId node, Dist dist) {
   if (settled_[node] || dist >= dist_[node]) return;
-  if (dist_[node] == kInfDist) labeled_nodes_.push_back(node);
   dist_[node] = dist;
-  log_.push_back(LabelEvent{node, dist});
+  frontier_.push_back(HeapItem{dist + Heuristic(node), dist, node});
+  std::push_heap(frontier_.begin(), frontier_.end(), std::greater<>());
 }
 
 void AStarSearch::Settle(NodeId node, Dist dist) {
@@ -52,6 +53,46 @@ void AStarSearch::Settle(NodeId node, Dist dist) {
   }
 }
 
+void AStarSearch::Retarget(const Location& target) {
+  if (target == target_) return;
+  target_ = target;
+  target_point_ = pager_->network().LocationPosition(target);
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    const NodeId node = frontier_[i].node;
+    const Dist d = frontier_[i].d;
+    if (d > dist_[node]) continue;
+    frontier_[live++] = HeapItem{d + Heuristic(node), d, node};
+  }
+  frontier_.resize(live);
+  std::make_heap(frontier_.begin(), frontier_.end(), std::greater<>());
+}
+
+void AStarSearch::PopTop() {
+  std::pop_heap(frontier_.begin(), frontier_.end(), std::greater<>());
+  frontier_.pop_back();
+}
+
+void AStarSearch::CleanTop() {
+  while (!frontier_.empty()) {
+    const HeapItem& top = frontier_.front();
+    if (top.d <= dist_[top.node]) return;
+    PopTop();
+  }
+}
+
+Dist AStarSearch::Heuristic(NodeId node) const {
+  if (target_.edge == kInvalidEdge) return 0.0;
+  const Point& p = pager_->network().NodePosition(node);
+  // Remaining distance to the target point is at least the straight-line
+  // distance (edge lengths are >= endpoint Euclidean distances).
+  Dist bound = EuclideanDistance(p, target_point_);
+  if (landmarks_ != nullptr) {
+    bound = std::max(bound, landmarks_->LowerBound(node, target_));
+  }
+  return bound;
+}
+
 AStarSearch::Probe AStarSearch::NewProbe(const Location& target) {
   return Probe(this, target);
 }
@@ -64,7 +105,6 @@ AStarSearch::Probe::Probe(AStarSearch* parent, const Location& target)
     : parent_(parent), target_(target) {
   const RoadNetwork& network = parent->pager_->network();
   MSQ_CHECK(network.IsValidLocation(target));
-  target_point_ = network.LocationPosition(target);
   const RoadNetwork::Edge& e = network.EdgeAt(target.edge);
   end_u_ = e.u;
   end_v_ = e.v;
@@ -77,44 +117,13 @@ AStarSearch::Probe::Probe(AStarSearch* parent, const Location& target)
   // The initial plb is the Euclidean distance between source and target
   // (Section 4.3: "the initial path distance lower bound is the Euclidean
   // distance between vs and vd").
-  plb_ = EuclideanDistance(
-      network.LocationPosition(parent->source_), target_point_);
+  plb_ = EuclideanDistance(network.LocationPosition(parent->source_),
+                           network.LocationPosition(target));
   if (parent->landmarks_ != nullptr) {
     plb_ = std::max(plb_,
                     parent->landmarks_->LowerBound(parent->source_, target));
   }
   if (direct_ < kInfDist) plb_ = std::min(plb_, direct_);
-
-  // The frontier heap is built lazily on the first Advance() that needs
-  // it: when both target endpoints are already settled the distance is
-  // known without touching the frontier at all, which makes probes into
-  // already-explored territory O(1) — the common case for LBC's
-  // probe-per-(candidate, query point) pattern.
-}
-
-void AStarSearch::Probe::Seed() {
-  MSQ_CHECK(!seeded_);
-  seeded_ = true;
-  // Seed from the compact labeled-node list with current labels; the event
-  // log only needs to be followed from this point on.
-  log_cursor_ = parent_->log_.size();
-  for (const NodeId node : parent_->labeled_nodes_) {
-    if (parent_->settled_[node]) continue;
-    const Dist d = parent_->dist_[node];
-    heap_.push(HeapItem{d + Heuristic(node), d, node});
-  }
-}
-
-Dist AStarSearch::Probe::Heuristic(NodeId node) const {
-  const Point& p = parent_->pager_->network().NodePosition(node);
-  // Remaining distance to the target point is at least the straight-line
-  // distance (edge lengths are >= endpoint Euclidean distances).
-  Dist bound = EuclideanDistance(p, target_point_);
-  if (parent_->landmarks_ != nullptr) {
-    bound = std::max(bound,
-                     parent_->landmarks_->LowerBound(node, target_));
-  }
-  return bound;
 }
 
 Dist AStarSearch::Probe::CurrentBestTarget() const {
@@ -128,73 +137,51 @@ Dist AStarSearch::Probe::CurrentBestTarget() const {
   return best;
 }
 
-void AStarSearch::Probe::Sync() {
-  while (log_cursor_ < parent_->log_.size()) {
-    const LabelEvent& event = parent_->log_[log_cursor_++];
-    if (parent_->settled_[event.node]) continue;
-    heap_.push(HeapItem{event.dist + Heuristic(event.node), event.dist,
-                        event.node});
-  }
-}
-
-void AStarSearch::Probe::Clean() {
-  while (!heap_.empty()) {
-    const HeapItem& top = heap_.top();
-    if (parent_->settled_[top.node] || top.d > parent_->dist_[top.node]) {
-      heap_.pop();
-      continue;
-    }
-    return;
-  }
+Dist AStarSearch::Probe::Finish(Dist distance) {
+  done_ = true;
+  distance_ = distance;
+  plb_ = distance;
+  return plb_;
 }
 
 Dist AStarSearch::Probe::Advance() {
   if (done_) return plb_;
-  if (!seeded_) {
+  if (!started_) {
+    started_ = true;
     // Exactness shortcut: with both endpoints settled, every path to the
     // target enters through a node with a final label, so the best known
     // complete path is the exact distance and the frontier is irrelevant.
+    // This makes probes into already-explored territory O(1) — the common
+    // case for LBC's probe-per-(candidate, query point) pattern.
     if (parent_->settled_[end_u_] && parent_->settled_[end_v_]) {
-      done_ = true;
-      distance_ = CurrentBestTarget();
-      plb_ = distance_;
-      return plb_;
+      return Finish(CurrentBestTarget());
     }
-    Seed();
   }
-  Sync();
-  Clean();
+  parent_->Retarget(target_);
+  parent_->CleanTop();
+  const std::vector<HeapItem>& frontier = parent_->frontier_;
 
   const Dist best_target = CurrentBestTarget();
-  if (heap_.empty() || heap_.top().f >= best_target) {
+  if (frontier.empty() || frontier.front().f >= best_target) {
     // No remaining frontier node can begin a shorter path: the best known
     // complete path is the shortest (kInfDist when no path exists).
-    done_ = true;
-    distance_ = best_target;
-    plb_ = best_target;
-    return plb_;
+    return Finish(best_target);
   }
 
-  const HeapItem top = heap_.top();
-  heap_.pop();
+  const HeapItem top = frontier.front();
+  parent_->PopTop();
   parent_->Settle(top.node, top.d);
-  Sync();
-  Clean();
+  parent_->CleanTop();
   // Per-expansion granularity keeps the gauge off the relaxation path.
-  g_heap_peak->Update(static_cast<double>(heap_.size()));
-  obs::ThreadLocalCounters().UpdateHeap(static_cast<double>(heap_.size()));
+  g_heap_peak->Update(static_cast<double>(frontier.size()));
+  obs::ThreadLocalCounters().UpdateHeap(static_cast<double>(frontier.size()));
 
   const Dist new_best = CurrentBestTarget();
-  const Dist frontier_bound = heap_.empty() ? kInfDist : heap_.top().f;
-  if (frontier_bound >= new_best) {
-    done_ = true;
-    distance_ = new_best;
-    plb_ = new_best;
-  } else {
-    // The frontier minimum is a valid lower bound on dN(source, target);
-    // it is non-decreasing under a consistent heuristic.
-    plb_ = std::max(plb_, std::min(frontier_bound, new_best));
-  }
+  const Dist frontier_bound = frontier.empty() ? kInfDist : frontier.front().f;
+  if (frontier_bound >= new_best) return Finish(new_best);
+  // The frontier minimum is a valid lower bound on dN(source, target); it
+  // is non-decreasing under a consistent heuristic.
+  plb_ = std::max(plb_, std::min(frontier_bound, new_best));
   return plb_;
 }
 

@@ -18,18 +18,18 @@
 //     needed to prove domination — the mechanism behind the
 //     instance-optimality proof (Theorem 1).
 //
-// Multiple live probes of the same search cooperate: any probe's expansion
-// settles nodes (exact labels) that every other probe reuses. Correctness
-// of cross-probe settling holds because each probe re-synchronizes its
-// frontier heap with the shared label log before every pop, so the popped
-// node has the minimum f over the complete current frontier — the standard
-// A* exactness argument then applies regardless of which target's heuristic
-// ordered the pop.
+// The search owns one frontier heap, keyed by f = d + h for whichever
+// target it was last asked about. A probe toward a different target first
+// re-keys the whole frontier in one O(F) pass that drops stale entries,
+// then rebuilds the heap with std::make_heap; while the target stays the
+// same, new labels are pushed already keyed for it. So each pop
+// takes the minimum f over the complete current frontier for the popping
+// probe's target, the standard A* exactness argument applies, and any
+// number of live probes may interleave on one search: every node one probe
+// settles is an exact label every other probe reuses.
 #ifndef MSQ_GRAPH_ASTAR_H_
 #define MSQ_GRAPH_ASTAR_H_
 
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "graph/graph_pager.h"
@@ -80,35 +80,21 @@ class AStarSearch {
     friend class AStarSearch;
     Probe(AStarSearch* parent, const Location& target);
 
-    // Builds the initial frontier heap (deferred until first needed).
-    void Seed();
-    // Pulls label events from the shared log into the local heap.
-    void Sync();
-    // Drops stale/settled heap tops.
-    void Clean();
     // Best known complete path: settled endpoint labels + the direct
     // along-edge path when source and target share an edge.
     Dist CurrentBestTarget() const;
-    Dist Heuristic(NodeId node) const;
-
-    struct HeapItem {
-      Dist f;        // d + heuristic
-      Dist d;        // label snapshot used to build this item
-      NodeId node;
-      bool operator>(const HeapItem& other) const { return f > other.f; }
-    };
+    // Marks the probe done with exact distance `distance`; returns it.
+    Dist Finish(Dist distance);
 
     AStarSearch* parent_;
     Location target_;
-    Point target_point_;
     NodeId end_u_, end_v_;
     Dist target_du_, target_dv_;  // along-edge offsets of the target
     Dist direct_;                 // same-edge direct distance or kInfDist
-    std::size_t log_cursor_ = 0;
-    bool seeded_ = false;
-    std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>
-        heap_;
     Dist plb_;
+    // Whether Advance() ran once; the settled-endpoints shortcut is taken
+    // only before the first expansion step.
+    bool started_ = false;
     bool done_ = false;
     Dist distance_ = kInfDist;
   };
@@ -134,30 +120,42 @@ class AStarSearch {
  private:
   friend class Probe;
 
-  // One (node, label) event; the log is append-only so probes can cursor
-  // through it.
-  struct LabelEvent {
+  struct HeapItem {
+    Dist f;  // d + Heuristic(node) for the current target
+    // Label when pushed; the entry is stale once dist_[node] < d. Each push
+    // for a node carries a smaller label than the last, and a node settles
+    // by popping its live entry, so every entry left for a settled node is
+    // stale.
+    Dist d;
     NodeId node;
-    Dist dist;
+    bool operator>(const HeapItem& other) const { return f > other.f; }
   };
 
-  // Applies a label improvement and logs it.
+  // Applies a label improvement and pushes it onto the frontier.
   void Improve(NodeId node, Dist dist);
   // Settles `node` at exact distance `dist` and relaxes its neighbors.
   void Settle(NodeId node, Dist dist);
+  // Re-keys the frontier for `target` and rebuilds the heap, dropping
+  // stale entries; a no-op when `target` is already current.
+  void Retarget(const Location& target);
+  // Drops stale entries off the top of the frontier.
+  void CleanTop();
+  void PopTop();
+  // Consistent lower bound on the distance from `node` to the current
+  // target (0 before the first retarget).
+  Dist Heuristic(NodeId node) const;
 
   const GraphPager* pager_;
   Location source_;
   const LandmarkIndex* landmarks_;
   std::vector<Dist> dist_;
   std::vector<std::uint8_t> settled_;
-  std::vector<LabelEvent> log_;
-  // Every node labeled so far, each exactly once (in first-labeling
-  // order). New probes seed their heaps from this compact list with the
-  // *current* labels instead of replaying the whole event log — keeping
-  // probe creation linear in distinct labeled nodes, which matters for
-  // LBC's probe-per-(candidate, query point) pattern.
-  std::vector<NodeId> labeled_nodes_;
+  // Min-heap on f via std::push_heap/pop_heap; may hold stale entries,
+  // which CleanTop and Retarget discard.
+  std::vector<HeapItem> frontier_;
+  // The target the frontier is keyed for (edge kInvalidEdge: none yet).
+  Location target_;
+  Point target_point_;
   std::size_t settled_count_ = 0;
   Dist max_settled_dist_ = 0.0;
   std::vector<AdjacencyEntry> scratch_adjacency_;

@@ -73,6 +73,9 @@ void NetworkNnStream::Offer(ObjectId object, Dist dist) {
 }
 
 void NetworkNnStream::ProbeEdge(EdgeId edge, NodeId node, Dist node_dist) {
+  // Most edges carry no object; their middle-layer lookup would touch the
+  // B+-tree only to come back empty.
+  if (!mapping_->HasObjects(edge)) return;
   scratch_objects_.clear();
   OkOrThrow(mapping_->ObjectsOnEdge(edge, &scratch_objects_));
   if (scratch_objects_.empty()) return;

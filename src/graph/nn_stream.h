@@ -3,9 +3,10 @@
 // CE (Section 4.1) visits the objects around each query point "in the
 // ascending order according to their network distance to this query point".
 // This stream couples a resumable Dijkstra wavefront with middle-layer
-// probes: whenever a node settles, each incident edge is checked in the
-// B+-tree middle layer for resident objects, whose distances become exact
-// as soon as they drop below the wavefront radius.
+// probes: whenever a node settles, each incident edge that carries an
+// object (SpatialMapping::HasObjects) is looked up in the B+-tree middle
+// layer for its resident objects, whose distances become exact as soon as
+// they drop below the wavefront radius.
 //
 // A finished (or truncated) stream can be snapshotted — Dijkstra checkpoint
 // plus the per-object distance estimates — and a later stream from the same

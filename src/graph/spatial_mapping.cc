@@ -36,6 +36,7 @@ SpatialMapping::SpatialMapping(const RoadNetwork* network,
                   loc.offset);
     positions_.push_back(network->LocationPosition(loc));
   }
+  DeriveOccupancy();
 
   // Sort object ids by edge so keys are strictly increasing for BulkLoad.
   std::vector<ObjectId> order(objects.size());
@@ -88,6 +89,13 @@ Status SpatialMapping::ObjectsOnEdge(EdgeId edge,
   return status;
 }
 
+void SpatialMapping::DeriveOccupancy() {
+  occupied_.assign(network_->edge_count(), false);
+  for (const Location& loc : locations_) {
+    if (loc.edge != kInvalidEdge) occupied_[loc.edge] = true;
+  }
+}
+
 bool SpatialMapping::IsLive(ObjectId id) const {
   return id < locations_.size() && locations_[id].edge != kInvalidEdge;
 }
@@ -119,6 +127,7 @@ StatusOr<ObjectId> SpatialMapping::InsertObject(const Location& loc) {
   // failed insert leaves no half-registered object.
   locations_.push_back(loc);
   positions_.push_back(network_->LocationPosition(loc));
+  occupied_[loc.edge] = true;
   ++live_count_;
   return id;
 }
@@ -138,6 +147,7 @@ StatusOr<bool> SpatialMapping::DeleteObject(ObjectId id) {
     if (!removed.ok()) return removed.status();
     MSQ_CHECK(*removed);
     locations_[id] = Location{kInvalidEdge, 0.0};
+    if (items.size() == 1) occupied_[loc.edge] = false;
     --live_count_;
     return true;
   }
@@ -181,6 +191,7 @@ Status SpatialMapping::RefreshEdgeObjects(EdgeId edge, double scale) {
 }
 
 Status SpatialMapping::RebuildIndex() {
+  DeriveOccupancy();
   std::vector<ObjectId> order;
   order.reserve(live_count_);
   for (ObjectId id = 0; id < locations_.size(); ++id) {

@@ -41,6 +41,11 @@ class SpatialMapping {
   // failure.
   Status ObjectsOnEdge(EdgeId edge, std::vector<EdgeObject>* out) const;
 
+  // Whether some live object sits on `edge`. An in-memory bit per edge,
+  // derived from the location table, so a caller can skip the
+  // ObjectsOnEdge probe of an edge that cannot return anything.
+  bool HasObjects(EdgeId edge) const { return occupied_[edge]; }
+
   // Total ids ever allocated, including tombstones — per-object arrays in
   // the algorithms are sized by this, so ids stay stable across churn.
   std::size_t object_count() const { return locations_.size(); }
@@ -82,14 +87,23 @@ class SpatialMapping {
   // Bulk-reloads the B+-tree from the live locations. Fault recovery: a
   // storage error mid-mutation can leave the tree behind the authoritative
   // location table, and this restores agreement. The old tree's pages are
-  // orphaned — bounded, since recovery only runs after a fault.
+  // orphaned — bounded, since recovery only runs after a fault. The
+  // occupancy bits are re-derived from the location table too; they only
+  // change if a delete ran against a tree left behind by a failed rebuild.
   Status RebuildIndex();
 
  private:
+  // Sets occupied_ from the live locations.
+  void DeriveOccupancy();
+
   const RoadNetwork* network_;
   std::vector<Location> locations_;
   std::vector<Point> positions_;
   std::size_t live_count_ = 0;
+  // One bit per edge: some live location is on it. Set at build and by
+  // InsertObject, cleared by the DeleteObject that removes an edge's last
+  // record.
+  std::vector<bool> occupied_;
   BpTree index_;
 };
 

@@ -1,10 +1,17 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/check.h"
 
 namespace msq::obs {
+namespace {
+
+// Slot::committed while a writer fills the slot.
+constexpr std::uint64_t kWriting = ~std::uint64_t{0};
+
+}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity), slots_(new Slot[capacity]) {
@@ -15,9 +22,22 @@ std::uint64_t FlightRecorder::Record(const FlightRecord& record) {
   const std::uint64_t sequence =
       next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(sequence - 1) % capacity_];
-  // Invalidate first so a concurrent Snapshot never pairs the old sequence
-  // with a half-written payload.
-  slot.committed.store(0, std::memory_order_release);
+  // Claim the slot first, so a concurrent Snapshot never pairs the old
+  // sequence with a half-written payload. A writer that lapped the ring
+  // onto a slot still being written waits for it: two payloads written at
+  // once would interleave, and whichever committed first would publish the
+  // mix.
+  std::uint64_t current = slot.committed.load(std::memory_order_relaxed);
+  do {
+    while (current == kWriting) {
+      std::this_thread::yield();
+      current = slot.committed.load(std::memory_order_relaxed);
+    }
+  } while (!slot.committed.compare_exchange_weak(current, kWriting,
+                                                 std::memory_order_relaxed));
+  // Orders the claim before the payload stores for a reader that sees any
+  // of them (paired with the fence in Snapshot).
+  std::atomic_thread_fence(std::memory_order_release);
   slot.spec_digest.store(record.spec_digest, std::memory_order_relaxed);
   slot.trace_id_hi.store(record.trace_id_hi, std::memory_order_relaxed);
   slot.trace_id_lo.store(record.trace_id_lo, std::memory_order_relaxed);
@@ -42,7 +62,7 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
     const Slot& slot = slots_[i];
     const std::uint64_t sequence =
         slot.committed.load(std::memory_order_acquire);
-    if (sequence == 0) continue;  // empty or write in flight
+    if (sequence == 0 || sequence == kWriting) continue;  // empty or in flight
     FlightRecord record;
     record.sequence = sequence;
     record.spec_digest = slot.spec_digest.load(std::memory_order_relaxed);
@@ -58,9 +78,10 @@ std::vector<FlightRecord> FlightRecorder::Snapshot() const {
       record.counters.*kCounterRows[i].member =
           slot.counters[i].load(std::memory_order_relaxed);
     }
-    // A writer that claimed this slot mid-copy invalidated or replaced the
-    // sequence; drop the (possibly torn) copy.
-    if (slot.committed.load(std::memory_order_acquire) != sequence) continue;
+    // A writer that claimed this slot mid-copy replaced the sequence; drop
+    // the (possibly torn) copy.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.committed.load(std::memory_order_relaxed) != sequence) continue;
     records.push_back(record);
   }
   std::sort(records.begin(), records.end(),

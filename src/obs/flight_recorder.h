@@ -4,16 +4,19 @@
 // the fact — including the ones nobody thought to trace.
 //
 // Write path: one fetch_add claims a globally unique sequence number (and
-// with it a slot), then the payload is stored word by word with relaxed
-// atomics and the slot's commit word is released last. No locks, no
-// allocation, wait-free for writers.
+// with it a slot), a compare-exchange marks the slot's commit word as being
+// written, the payload is stored word by word with relaxed atomics, and
+// the commit word is released last. No locks, no allocation. Two writers
+// meet on one slot only when `capacity` writes complete while one is still
+// in flight; the later one then waits for the earlier to commit, because
+// interleaved payload stores would publish a torn record. Size the ring
+// well above the worker count (the default is 256 per executor) and that
+// wait never happens.
 //
 // Read path (Snapshot) is best-effort consistent: a slot is skipped while
 // its commit word says a write is in flight, and re-checked after the
 // payload copy so a record overwritten mid-copy is dropped rather than
-// returned torn. Two writers can only collide on one slot when `capacity`
-// writes complete while one is still in flight — size the ring well above
-// the worker count (the default is 256 per executor).
+// returned torn.
 #ifndef MSQ_OBS_FLIGHT_RECORDER_H_
 #define MSQ_OBS_FLIGHT_RECORDER_H_
 
@@ -72,7 +75,8 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    // 0 = empty or write in flight; otherwise the committed sequence.
+    // 0 = empty; all ones while a writer fills the slot; otherwise the
+    // committed sequence.
     std::atomic<std::uint64_t> committed{0};
     std::atomic<std::uint64_t> spec_digest{0};
     std::atomic<std::uint64_t> trace_id_hi{0};

@@ -151,6 +151,10 @@ inline constexpr char kBoundPruned[] = "core.bound_pruned";
 inline constexpr char kBoundExamined[] = "core.bound_examined";
 inline constexpr char kBoundSamples[] = "core.bound_tightness_samples";
 inline constexpr char kBoundPctSum[] = "core.bound_tightness_pct_sum";
+// Frontier size after each expansion: a Dijkstra wavefront's heap, an NN
+// stream's emission heap, or an A* search's one frontier heap, which every
+// probe of the search shares and which may hold stale entries between
+// retargets.
 inline constexpr char kHeapPeak[] = "core.heap_peak";
 // Cross-query cache (src/cache/query_cache.h).
 inline constexpr char kCacheWavefrontHits[] = "cache.wavefront.hits";

@@ -1,5 +1,6 @@
 #include "obs/plan.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -281,8 +282,18 @@ void PlanStore::Retain(RetainedPlan plan) {
 }
 
 std::vector<RetainedPlan> PlanStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RetainedPlan>(plans_.begin(), plans_.end());
+  std::vector<RetainedPlan> plans;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    plans.assign(plans_.begin(), plans_.end());
+  }
+  // Workers retain plans in the order they finish telemetry, which can
+  // differ from the order they drew their flight-recorder sequences.
+  std::sort(plans.begin(), plans.end(),
+            [](const RetainedPlan& a, const RetainedPlan& b) {
+              return a.sequence < b.sequence;
+            });
+  return plans;
 }
 
 void PlanStore::Account(std::string_view algorithm,

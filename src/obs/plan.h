@@ -205,6 +205,7 @@ class PlanStore {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   void Retain(RetainedPlan plan);
+  // The retained plans in ascending flight-recorder sequence.
   std::vector<RetainedPlan> Snapshot() const;
 
   // Folds one completed query's counters into the per-algorithm

@@ -1,11 +1,11 @@
 #include "graph/astar.h"
 
-#include <queue>
-
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gen/network_gen.h"
 #include "graph/dijkstra.h"
+#include "graph/landmarks.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "testing_support.h"
@@ -185,6 +185,84 @@ TEST(AStarTest, ManyTargetsMatchReference) {
   for (EdgeId e = 0; e < f.network.edge_count(); e += 11) {
     const Location target{e, f.network.EdgeAt(e).length * 0.5};
     EXPECT_NEAR(astar.DistanceTo(target), oracle.DistanceTo(target), 1e-9);
+  }
+}
+
+// Two live probes on one search, advanced alternately toward different
+// targets, so every step re-keys the shared frontier for the other target.
+// Successive pairs start from the frontier the previous pair left behind.
+void CheckAlternatingProbes(const PagedFixture& f,
+                            const LandmarkIndex* landmarks) {
+  const Location source{5, f.network.EdgeAt(5).length * 0.3};
+  DijkstraSearch oracle(&f.pager, source);
+  AStarSearch astar(&f.pager, source, landmarks);
+  Rng rng(97);
+  for (int pair = 0; pair < 12; ++pair) {
+    Location targets[2];
+    for (Location& target : targets) {
+      const auto edge =
+          static_cast<EdgeId>(rng.NextBounded(f.network.edge_count()));
+      target = Location{edge, f.network.EdgeAt(edge).length *
+                                  rng.NextDouble()};
+    }
+    const Dist truth[2] = {oracle.DistanceTo(targets[0]),
+                           oracle.DistanceTo(targets[1])};
+    AStarSearch::Probe probes[2] = {astar.NewProbe(targets[0]),
+                                    astar.NewProbe(targets[1])};
+    Dist last[2] = {probes[0].plb(), probes[1].plb()};
+    while (!probes[0].done() || !probes[1].done()) {
+      for (int i = 0; i < 2; ++i) {
+        const Dist plb = probes[i].Advance();
+        EXPECT_GE(plb + 1e-9, last[i]) << "pair " << pair << " probe " << i;
+        EXPECT_LE(plb, truth[i] + 1e-9) << "pair " << pair << " probe " << i;
+        last[i] = plb;
+      }
+    }
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_NEAR(probes[i].distance(), truth[i], 1e-9)
+          << "pair " << pair << " probe " << i;
+    }
+  }
+}
+
+TEST(AStarTest, AlternatingProbesOnOneSearchMatchDijkstra) {
+  PagedFixture f(GenerateNetwork({.node_count = 900,
+                                  .edge_count = 1300,
+                                  .seed = 61}));
+  CheckAlternatingProbes(f, nullptr);
+}
+
+TEST(AStarTest, AlternatingProbesWithLandmarksMatchDijkstra) {
+  PagedFixture f(GenerateNetwork({.node_count = 900,
+                                  .edge_count = 1300,
+                                  .seed = 61}));
+  const LandmarkIndex landmarks(&f.network, 4);
+  CheckAlternatingProbes(f, &landmarks);
+}
+
+// A long run of probes toward random targets on one search, some abandoned
+// part-way (as LBC abandons dominated candidates), each completed one
+// checked against a fresh search for its target alone.
+TEST(AStarTest, RandomTargetSequenceMatchesFreshSearches) {
+  PagedFixture f(GenerateNetwork({.node_count = 700,
+                                  .edge_count = 1000,
+                                  .seed = 67}));
+  const Location source{11, f.network.EdgeAt(11).length * 0.5};
+  AStarSearch astar(&f.pager, source);
+  Rng rng(71);
+  for (int step = 0; step < 300; ++step) {
+    const auto edge =
+        static_cast<EdgeId>(rng.NextBounded(f.network.edge_count()));
+    const Location target{edge, f.network.EdgeAt(edge).length *
+                                    rng.NextDouble()};
+    auto probe = astar.NewProbe(target);
+    if (rng.NextBounded(4) == 0) {
+      for (std::uint64_t n = rng.NextBounded(20); n > 0; --n) probe.Advance();
+      if (!probe.done()) continue;
+    }
+    AStarSearch fresh(&f.pager, source);
+    EXPECT_NEAR(probe.Run(), fresh.DistanceTo(target), 1e-9)
+        << "step " << step;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "gen/workloads.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
@@ -144,6 +145,46 @@ TEST(SpatialMappingFaultTest, ReadFaultMidProbeClearsOutAndUnpins) {
   EXPECT_EQ(out.size(), count);
 }
 
+
+// The occupancy bit agrees with the middle layer on every edge: after the
+// build, after each step of a random insert/delete sequence (inserts land
+// on a few edges, so edges gain second objects and lose them again), and
+// after RebuildIndex.
+TEST_F(SpatialMappingTest, OccupancyMatchesMiddleLayerThroughChurn) {
+  const auto expect_agreement = [](const SpatialMapping& mapping,
+                                   const char* when) {
+    std::vector<EdgeObject> on_edge;
+    for (EdgeId e = 0; e < mapping.network().edge_count(); ++e) {
+      on_edge.clear();
+      ASSERT_TRUE(mapping.ObjectsOnEdge(e, &on_edge).ok());
+      EXPECT_EQ(mapping.HasObjects(e), !on_edge.empty())
+          << when << ", edge " << e;
+    }
+  };
+  const auto random_location = [&](Rng& rng) {
+    const auto edge = static_cast<EdgeId>(rng.NextBounded(6));
+    return Location{edge, network_.EdgeAt(edge).length * rng.NextDouble()};
+  };
+
+  Rng rng(19);
+  std::vector<Location> objects;
+  for (int i = 0; i < 5; ++i) objects.push_back(random_location(rng));
+  SpatialMapping mapping(&network_, &buffer_, objects);
+  expect_agreement(mapping, "after build");
+
+  for (int step = 0; step < 200; ++step) {
+    if (rng.NextBounded(2) == 0) {
+      ASSERT_TRUE(mapping.InsertObject(random_location(rng)).ok());
+    } else {
+      const auto id =
+          static_cast<ObjectId>(rng.NextBounded(mapping.object_count()));
+      ASSERT_TRUE(mapping.DeleteObject(id).ok());
+    }
+    expect_agreement(mapping, "after churn step");
+  }
+  ASSERT_TRUE(mapping.RebuildIndex().ok());
+  expect_agreement(mapping, "after RebuildIndex");
+}
 
 }  // namespace
 }  // namespace msq

@@ -5,6 +5,7 @@
 // executor's exclusive write barrier and repeated relayouts without
 // leaking storage.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -19,6 +20,7 @@
 #include "core/skyline_query.h"
 #include "exec/query_executor.h"
 #include "gen/workloads.h"
+#include "graph/dijkstra.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk_manager.h"
 #include "testing_support.h"
@@ -379,6 +381,88 @@ TEST(DynamicWorldTest, ExclusiveBarrierSerializesMutationsWithQueries) {
   ExpectSameSkyline(RunSkylineQuery(Algorithm::kLbc, mutated, spec),
                     ColdOracle(workload.get(), Algorithm::kLbc, spec),
                     "warm after barrier mutations");
+}
+
+// The NN stream skips edges whose occupancy bit is clear. An object
+// inserted on a previously empty edge must set the bit and be found, and
+// an edge emptied by a delete must be skipped without changing an answer.
+// CE and naive read objects through NN streams; EDC and LBC do not, so
+// their agreement is an independent check. Objects sit in the far corner
+// of a grid; the inserted one sits next to both query points and
+// dominates them all.
+TEST(DynamicWorldTest, EmptyEdgeSkipFollowsInsertAndDelete) {
+  constexpr std::size_t kSide = 8;
+  RoadNetwork network = testing::MakeGridNetwork(kSide);
+  const auto corner_rank = [](NodeId n) { return n / kSide + n % kSide; };
+  std::vector<Location> objects;
+  for (EdgeId e = 0; e < network.edge_count(); ++e) {
+    const RoadNetwork::Edge& edge = network.EdgeAt(e);
+    if (std::min(corner_rank(edge.u), corner_rank(edge.v)) < kSide) continue;
+    const double fraction = 0.1 + 0.8 * std::fmod(e * 0.618, 1.0);
+    objects.push_back({e, edge.length * fraction});
+  }
+  auto workload = testing::MakeWorkload(std::move(network), objects);
+  const RoadNetwork& grid = workload->network();
+  const SpatialMapping& mapping = workload->mapping();
+  SkylineQuerySpec spec;
+  spec.sources = {{0, grid.EdgeAt(0).length * 0.3},
+                  {1, grid.EdgeAt(1).length * 0.6}};
+  // Edge (0,1)-(1,1): next to both query points, off their edges, empty.
+  EdgeId near_edge = kInvalidEdge;
+  for (EdgeId e = 0; e < grid.edge_count(); ++e) {
+    const RoadNetwork::Edge& edge = grid.EdgeAt(e);
+    if (std::min(edge.u, edge.v) == 1 && std::max(edge.u, edge.v) == 9) {
+      near_edge = e;
+    }
+  }
+  ASSERT_NE(near_edge, kInvalidEdge);
+  ASSERT_FALSE(mapping.HasObjects(near_edge));
+
+  const auto run_all = [&](const char* label) {
+    const SkylineResult ce = ColdOracle(workload.get(), Algorithm::kCe, spec);
+    ExpectSameSkyline(ce, ColdOracle(workload.get(), Algorithm::kNaive, spec),
+                      label);
+    for (const Algorithm algorithm : {Algorithm::kEdc, Algorithm::kLbc}) {
+      EXPECT_EQ(testing::SkylineIds(
+                    ColdOracle(workload.get(), algorithm, spec)),
+                testing::SkylineIds(ce))
+          << label << " " << AlgorithmName(algorithm);
+    }
+    return ce;
+  };
+  const SkylineResult before = run_all("before insert");
+  ASSERT_FALSE(before.skyline.empty());
+
+  const Location near_location{near_edge, grid.EdgeAt(near_edge).length / 2};
+  const StatusOr<ObjectId> inserted = workload->InsertObject(near_location);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_TRUE(mapping.HasObjects(near_edge));
+  const SkylineResult after_insert = run_all("after insert");
+  ASSERT_EQ(after_insert.skyline.size(), 1u);
+  EXPECT_EQ(after_insert.skyline[0].object, *inserted);
+  for (std::size_t i = 0; i < spec.sources.size(); ++i) {
+    DijkstraSearch search(workload->dataset().graph_pager, spec.sources[i]);
+    EXPECT_NEAR(after_insert.skyline[0].vector[i],
+                search.DistanceTo(near_location), 1e-12)
+        << "source " << i;
+  }
+
+  // Deleting it empties the edge again: skipped, and the old answer is back.
+  ASSERT_TRUE(workload->DeleteObject(*inserted).ok());
+  EXPECT_FALSE(mapping.HasObjects(near_edge));
+  ExpectSameSkyline(run_all("after delete"), before, "emptied near edge");
+
+  // A skyline member alone on its edge: deleting it empties that edge.
+  const ObjectId victim = before.skyline[0].object;
+  const EdgeId victim_edge = mapping.ObjectLocation(victim).edge;
+  ASSERT_TRUE(mapping.HasObjects(victim_edge));
+  const StatusOr<bool> removed = workload->DeleteObject(victim);
+  ASSERT_TRUE(removed.ok());
+  ASSERT_TRUE(*removed);
+  EXPECT_FALSE(mapping.HasObjects(victim_edge));
+  for (const SkylineEntry& entry : run_all("after victim delete").skyline) {
+    EXPECT_NE(entry.object, victim);
+  }
 }
 
 }  // namespace

@@ -216,8 +216,12 @@ TEST(BufferFaultTest, ClearFailureDropsNothing) {
 
 class PageIntegrityTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs the cases as concurrent processes, and
+  // each TearDown removes its file.
   std::string path_ =
-      ::testing::TempDir() + "/msq_integrity_test.bin";
+      ::testing::TempDir() + "/msq_integrity_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
 
   void TearDown() override { std::remove(path_.c_str()); }
 
