@@ -3,6 +3,7 @@
 #include <cmath>
 #include <exception>
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "cache/query_cache.h"
@@ -17,9 +18,15 @@ namespace {
 // cache when a wavefront snapshot for its source is present. `resumes`
 // records the consulted snapshots (null on miss) so the close path can
 // tell whether a stream actually grew.
+//
+// Sequential streams share `memo`, so an occupied edge reached by several
+// wavefronts is read from the middle layer once per query. Under a
+// TaskRunner the streams advance on several threads at once and the memo
+// is unsynchronized, so each stream keeps its own: its lookups then follow
+// its own emission sequence alone and stay deterministic.
 std::vector<std::unique_ptr<NetworkNnStream>> OpenStreams(
     const Dataset& dataset, const SkylineQuerySpec& spec,
-    std::vector<QueryCache::WavefrontPtr>* resumes) {
+    EdgeObjectMemo* memo, std::vector<QueryCache::WavefrontPtr>* resumes) {
   std::vector<std::unique_ptr<NetworkNnStream>> streams;
   streams.reserve(spec.sources.size());
   resumes->clear();
@@ -30,7 +37,8 @@ std::vector<std::unique_ptr<NetworkNnStream>> OpenStreams(
           source, dataset.graph_pager->data_epoch());
     }
     streams.push_back(std::make_unique<NetworkNnStream>(
-        dataset.graph_pager, dataset.mapping, source, resume.get()));
+        dataset.graph_pager, dataset.mapping, source, resume.get(),
+        spec.runner == nullptr ? memo : nullptr));
     resumes->push_back(std::move(resume));
   }
   return streams;
@@ -179,33 +187,40 @@ void EmissionFeed::Refill() {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-// Per-object bookkeeping shared by both phases.
+// Per-object bookkeeping shared by both phases. The network distances
+// live in a DistanceTable beside it.
 struct ObjectState {
-  DistVector dist;            // network distances; kInfDist until visited
   std::uint32_t visit_count = 0;
   bool candidate = false;     // member of C
   bool determined = false;    // reported as skyline or pruned
 };
 
-// Whether skyline point `s` (complete vector, static attributes appended)
-// provably dominates candidate `c` given c's partially known distances.
-// For an unknown dimension i, dN(qi, c) >= s.dist[i] holds because query
-// point qi's stream emits in ascending order and it has already emitted s.
-// Returns true only when strict dominance is certain.
-bool ProvablyDominates(const DistVector& s_vec, const ObjectState& c,
-                       const DistVector& c_attrs, std::size_t n) {
+// Network distances of every object to every query point, one contiguous
+// row of n per object; kInfDist until visited.
+class DistanceTable {
+ public:
+  DistanceTable(std::size_t m, std::size_t n) : n_(n), dist_(m * n, kInfDist) {}
+  std::span<Dist> row(ObjectId id) { return {dist_.data() + id * n_, n_}; }
+
+ private:
+  std::size_t n_;
+  std::vector<Dist> dist_;
+};
+
+// Whether skyline point `s` (a complete distance vector) provably
+// dominates a candidate whose partially known distances are `c`. For an
+// unknown dimension i, dN(qi, c) >= s[i] holds because query point qi's
+// stream emits in ascending order and it has already emitted s. Returns
+// true only when strict dominance is certain.
+bool ProvablyDominates(std::span<const Dist> s, std::span<const Dist> c) {
   bool strict = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::isfinite(c.dist[i])) {
-      if (s_vec[i] > c.dist[i]) return false;
-      if (s_vec[i] < c.dist[i]) strict = true;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (std::isfinite(c[i])) {
+      if (s[i] > c[i]) return false;
+      if (s[i] < c[i]) strict = true;
     }
-    // Unknown dimension: s_vec[i] <= dN(qi, c), never contradicts, never
+    // Unknown dimension: s[i] <= dN(qi, c), never contradicts, never
     // certainly strict.
-  }
-  for (std::size_t j = 0; j < c_attrs.size(); ++j) {
-    if (s_vec[n + j] > c_attrs[j]) return false;
-    if (s_vec[n + j] < c_attrs[j]) strict = true;
   }
   return strict;
 }
@@ -228,9 +243,10 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
 
+  EdgeObjectMemo memo(dataset.mapping);
   std::vector<QueryCache::WavefrontPtr> resumes;
   std::vector<std::unique_ptr<NetworkNnStream>> streams =
-      OpenStreams(dataset, spec, &resumes);
+      OpenStreams(dataset, spec, &memo, &resumes);
   // Radius each resumed wavefront had already reached: emissions at or
   // inside it were answered by the cached snapshot, not fresh expansion
   // (plan cache-tier attribution; only consulted when a plan is taken).
@@ -249,7 +265,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   std::vector<Dist> radius(n, 0.0);
 
   std::vector<ObjectState> state(m);
-  for (ObjectState& s : state) s.dist.assign(n, kInfDist);
+  DistanceTable dist(m, n);
   std::vector<bool> visited_once(m, false);
   std::size_t undetermined = m;
 
@@ -257,7 +273,8 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   VectorRows skyline_rows(n + dataset.static_dims());
 
   auto full_vector = [&](ObjectId id) {
-    DistVector vec = state[id].dist;
+    const std::span<const Dist> known = dist.row(id);
+    DistVector vec(known.begin(), known.end());
     const DistVector attrs = dataset.StaticAttributesOf(id);
     vec.insert(vec.end(), attrs.begin(), attrs.end());
     return vec;
@@ -266,12 +283,11 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   // Whether skyline vector `s` provably dominates object `id` given the
   // known distances, the per-stream radii, and the static attributes.
   auto provably_dominated = [&](std::span<const Dist> s, ObjectId id) {
-    const ObjectState& obj = state[id];
+    const std::span<const Dist> known = dist.row(id);
     const DistVector attrs = dataset.StaticAttributesOf(id);
     bool strict = false;
     for (std::size_t q = 0; q < n; ++q) {
-      const Dist bound =
-          std::isfinite(obj.dist[q]) ? obj.dist[q] : radius[q];
+      const Dist bound = std::isfinite(known[q]) ? known[q] : radius[q];
       if (s[q] > bound) return false;
       if (s[q] < bound) strict = true;
     }
@@ -339,7 +355,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
       ++result.stats.candidate_count;
     }
     if (obj.determined) continue;
-    obj.dist[qi] = visit->distance;
+    dist.row(visit->object)[qi] = visit->distance;
     ++obj.visit_count;
     if (obj.visit_count == n) {
       obj.determined = true;
@@ -399,9 +415,10 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
 
+  EdgeObjectMemo memo(dataset.mapping);
   std::vector<QueryCache::WavefrontPtr> resumes;
   std::vector<std::unique_ptr<NetworkNnStream>> streams =
-      OpenStreams(dataset, spec, &resumes);
+      OpenStreams(dataset, spec, &memo, &resumes);
   // See RunCeGeneralized: cached-wavefront radius per resumed stream for
   // plan cache-tier attribution.
   std::vector<Dist> resume_radius(n, -1.0);
@@ -416,11 +433,12 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   std::vector<bool> exhausted(n, false);
 
   std::vector<ObjectState> state(m);
-  for (ObjectState& s : state) s.dist.assign(n, kInfDist);
+  DistanceTable dist(m, n);
 
-  // Reported vectors (attributes appended) in report order: row i is
-  // result.skyline[i].vector.
-  VectorRows skyline_rows(n + dataset.static_dims());
+  // Reported vectors in report order: row i is result.skyline[i].vector.
+  // This path runs only without static attributes, so a complete distance
+  // row is the whole comparison vector.
+  VectorRows skyline_rows(n);
   // Ids of candidates that may still be undetermined, in admission order.
   // Each prune pass compacts away the determined ones, so its cost follows
   // the open candidates rather than the object count.
@@ -434,14 +452,6 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   // would lose.
   DistVector first_skyline_vec;
 
-  // Builds the full comparison vector (distances + attributes) of `id`.
-  auto full_vector = [&](ObjectId id) {
-    DistVector vec = state[id].dist;
-    const DistVector attrs = dataset.StaticAttributesOf(id);
-    vec.insert(vec.end(), attrs.begin(), attrs.end());
-    return vec;
-  };
-
   // Handles an object whose distance vector just became complete: reports
   // it if undominated and prunes candidates it provably dominates.
   auto determine = [&](ObjectId id) {
@@ -451,14 +461,14 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     --candidates_open;
     // Determination means every distance was resolved: fully examined.
     CountBoundExamined();
-    const DistVector vec = full_vector(id);
+    const std::span<const Dist> vec = dist.row(id);
     if (FirstDominator(skyline_rows, vec, 0.0) < skyline_rows.size()) {
       return;  // dominated: silently pruned
     }
     scope.MarkInitial();
     SkylineEntry entry;
     entry.object = id;
-    entry.vector = vec;
+    entry.vector.assign(vec.begin(), vec.end());
     if (on_skyline) on_skyline(entry);
     result.skyline.push_back(entry);
     skyline_rows.Append(vec);
@@ -468,7 +478,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     for (const ObjectId c : open) {
       ObjectState& cand = state[c];
       if (cand.determined) continue;
-      if (ProvablyDominates(vec, cand, dataset.StaticAttributesOf(c), n)) {
+      if (ProvablyDominates(vec, dist.row(c))) {
         cand.determined = true;
         --candidates_open;
         // Pruned on partial distances + emission-order lower bounds.
@@ -553,12 +563,13 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
       continue;
     }
 
-    obj.dist[qi] = visit->distance;
+    const std::span<Dist> known = dist.row(visit->object);
+    known[qi] = visit->distance;
     ++obj.visit_count;
     if (obj.visit_count == n) {
       if (filtering) {
         filtering = false;
-        first_skyline_vec = obj.dist;
+        first_skyline_vec.assign(known.begin(), known.end());
         phase_span.Close();
         phase_span = obs::Span(trace, "ce.refine");
       }

@@ -110,58 +110,83 @@ class EdcRunner {
     return network_vectors_.count(id) != 0;
   }
 
-  // Step 3's window fetch: every object o with dE(o, qi) <= window[i] for
-  // all query dims and attrs(o) <= window's attr dims — i.e. the objects
-  // that could dominate the shifted point `window`. Appends object ids not
-  // already in `candidates` and marks them.
-  void FetchWindow(const DistVector& window,
-                   std::vector<ObjectId>* order,
-                   std::unordered_map<ObjectId, bool>* candidates) {
+  // One object R-tree node as the window walks read it: per entry its
+  // child page (internal) or object id (leaf) and its optimistic vector —
+  // MinDist to every query point, then the attribute lower bounds (the
+  // object's own attributes at a leaf, the dataset minimum above). None
+  // of it depends on the window, so each node is read and bounded once
+  // per query however many windows visit it.
+  struct BoundedNode {
+    explicit BoundedNode(std::size_t dims) : bounds(dims) {}
+    bool is_leaf = true;
+    std::vector<std::uint32_t> ids;
+    VectorRows bounds;  // row k: optimistic vector of entry k
+  };
+
+  const BoundedNode& Bounded(PageId page) {
+    auto it = bounded_.find(page);
+    if (it != bounded_.end()) return it->second;
+    const RTreeNode node = dataset_.object_rtree->ReadNode(page);
+    BoundedNode bounded(n() + attr_dims());
+    bounded.is_leaf = node.is_leaf;
+    bounded.ids.reserve(node.entries.size());
+    DistVector lb(n() + attr_dims());
+    for (const RTreeEntry& e : node.entries) {
+      for (std::size_t i = 0; i < n(); ++i) {
+        lb[i] = e.mbr.MinDist(query_points_[i]);
+      }
+      if (attr_dims() > 0) {
+        const DistVector attrs =
+            node.is_leaf ? dataset_.StaticAttributesOf(e.id) : min_attrs_;
+        std::copy(attrs.begin(), attrs.end(), lb.begin() + n());
+      }
+      bounded.ids.push_back(e.id);
+      bounded.bounds.Append(lb);
+    }
+    return bounded_.emplace(page, std::move(bounded)).first->second;
+  }
+
+  // Depth-first walk of the object R-tree that descends into, or fetches,
+  // every entry whose optimistic vector satisfies `keep`. Appends fetched
+  // object ids not already in `candidates` and marks them.
+  template <typename Keep>
+  void FetchWhere(const Keep& keep, std::vector<ObjectId>* order,
+                  std::unordered_map<ObjectId, bool>* candidates) {
     std::vector<PageId> stack = {dataset_.object_rtree->root_page()};
     while (!stack.empty()) {
       const PageId page = stack.back();
       stack.pop_back();
-      const RTreeNode node = dataset_.object_rtree->ReadNode(page);
-      for (const RTreeEntry& e : node.entries) {
-        // Subtree/object qualifies only if its optimistic vector fits
-        // inside the hypercube.
-        bool inside = true;
-        for (std::size_t i = 0; i < n(); ++i) {
-          if (e.mbr.MinDist(query_points_[i]) > window[i]) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside && attr_dims() > 0) {
-          const DistVector lb = node.is_leaf
-                                    ? dataset_.StaticAttributesOf(e.id)
-                                    : min_attrs_;
-          for (std::size_t j = 0; j < attr_dims(); ++j) {
-            if (lb[j] > window[n() + j]) {
-              inside = false;
-              break;
-            }
-          }
-        }
-        if (!inside) continue;
+      const BoundedNode& node = Bounded(page);
+      for (std::size_t k = 0; k < node.ids.size(); ++k) {
+        if (!keep(node.bounds.row(k))) continue;
+        const std::uint32_t id = node.ids[k];
         if (node.is_leaf) {
-          if (candidates->emplace(e.id, true).second) {
-            order->push_back(e.id);
-          }
+          if (candidates->emplace(id, true).second) order->push_back(id);
         } else {
-          stack.push_back(e.id);
+          stack.push_back(id);
         }
       }
     }
   }
 
-  // Whether point `o` (exact Euclidean distances + attrs) lies inside the
-  // hypercube of `window`.
-  bool InsideWindow(std::span<const Dist> exact,
-                    const DistVector& window) const {
-    MSQ_CHECK(exact.size() == window.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      if (exact[i] > window[i]) return false;
+  // Step 3's window fetch: every object o with dE(o, qi) <= window[i] for
+  // all query dims and attrs(o) <= window's attr dims — i.e. the objects
+  // that could dominate the shifted point `window`. A subtree qualifies
+  // only if its optimistic vector fits inside the hypercube.
+  void FetchWindow(const DistVector& window,
+                   std::vector<ObjectId>* order,
+                   std::unordered_map<ObjectId, bool>* candidates) {
+    FetchWhere(
+        [&](std::span<const Dist> lb) { return InsideWindow(lb, window); },
+        order, candidates);
+  }
+
+  // Whether vector `v` (distances + attrs: a network vector, or an entry's
+  // optimistic vector) lies inside the hypercube of `window`.
+  bool InsideWindow(std::span<const Dist> v, const DistVector& window) const {
+    MSQ_CHECK(v.size() == window.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (v[i] > window[i]) return false;
     }
     return true;
   }
@@ -215,37 +240,14 @@ class EdcRunner {
   void FetchUndominatedRegion(const VectorRows& skyline_estimate,
                               std::vector<ObjectId>* order,
                               std::unordered_map<ObjectId, bool>* candidates) {
-    DistVector lb(n() + attr_dims());  // scratch, rebuilt per entry
-    std::vector<PageId> stack = {dataset_.object_rtree->root_page()};
-    while (!stack.empty()) {
-      const PageId page = stack.back();
-      stack.pop_back();
-      const RTreeNode node = dataset_.object_rtree->ReadNode(page);
-      for (const RTreeEntry& e : node.entries) {
-        for (std::size_t i = 0; i < n(); ++i) {
-          lb[i] = e.mbr.MinDist(query_points_[i]);
-        }
-        if (attr_dims() > 0) {
-          const DistVector attrs = node.is_leaf
-                                       ? dataset_.StaticAttributesOf(e.id)
-                                       : min_attrs_;
-          std::copy(attrs.begin(), attrs.end(), lb.begin() + n());
-        }
-        // Margin-strict: lb is a Euclidean bound compared against network
-        // distances (see dominance.h).
-        if (FirstDominator(skyline_estimate, lb, kFpTieMargin) <
-            skyline_estimate.size()) {
-          continue;
-        }
-        if (node.is_leaf) {
-          if (candidates->emplace(e.id, true).second) {
-            order->push_back(e.id);
-          }
-        } else {
-          stack.push_back(e.id);
-        }
-      }
-    }
+    // Margin-strict: lb is a Euclidean bound compared against network
+    // distances (see dominance.h).
+    FetchWhere(
+        [&](std::span<const Dist> lb) {
+          return FirstDominator(skyline_estimate, lb, kFpTieMargin) ==
+                 skyline_estimate.size();
+        },
+        order, candidates);
   }
 
   // Completion pass (EdcOptions::paper_faithful == false): one
@@ -303,6 +305,7 @@ class EdcRunner {
   std::vector<CachedWavefront> wavefronts_;
   DistVector min_attrs_;
   std::unordered_map<ObjectId, DistVector> network_vectors_;
+  std::unordered_map<PageId, BoundedNode> bounded_;
 };
 
 SkylineResult RunEdcBatch(const Dataset& dataset,

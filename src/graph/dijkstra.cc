@@ -123,7 +123,7 @@ std::optional<DijkstraSearch::Settled> DijkstraSearch::NextSettled() {
   // heap grows by at most one node degree between settles.
   g_heap_peak->Update(static_cast<double>(heap_.size()));
   obs::ThreadLocalCounters().UpdateHeap(static_cast<double>(heap_.size()));
-  return Settled{top.node, top.dist};
+  return Settled{top.node, top.dist, scratch_adjacency_};
 }
 
 Dist DijkstraSearch::DistanceTo(const Location& target) {

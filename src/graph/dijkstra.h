@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph_pager.h"
@@ -67,6 +68,10 @@ class DijkstraSearch {
   struct Settled {
     NodeId node;
     Dist distance;
+    // The node's adjacency list as decoded to expand it; valid until the
+    // next NextSettled/DistanceTo call on this search. Callers that probe
+    // the incident edges read it here instead of decoding it again.
+    std::span<const AdjacencyEntry> adjacency;
   };
 
   // Settles and returns the next-nearest node, expanding the wavefront by
@@ -98,7 +103,8 @@ class DijkstraSearch {
   const Location& source() const { return source_; }
 
  private:
-  // Relaxes `node`'s neighbors given its exact distance `dist`.
+  // Relaxes `node`'s neighbors given its exact distance `dist`; leaves
+  // the decoded adjacency in scratch_adjacency_.
   void Expand(NodeId node, Dist dist);
   // Pops stale heap entries.
   void CleanTop();

@@ -17,12 +17,15 @@ obs::Gauge* const g_heap_peak = obs::GlobalMetrics().gauge(
 
 NetworkNnStream::NetworkNnStream(const GraphPager* pager,
                                  const SpatialMapping* mapping,
-                                 Location source, const Snapshot* resume)
+                                 Location source, const Snapshot* resume,
+                                 EdgeObjectMemo* memo)
     : search_(resume != nullptr
                   ? DijkstraSearch(pager, source, resume->search)
                   : DijkstraSearch(pager, source)),
-      pager_(pager),
-      mapping_(mapping) {
+      mapping_(mapping),
+      own_memo_(memo == nullptr ? std::make_unique<EdgeObjectMemo>(mapping)
+                                : nullptr),
+      memo_(memo == nullptr ? own_memo_.get() : memo) {
   MSQ_CHECK(mapping != nullptr);
   emitted_.assign(mapping->object_count(), 0);
 
@@ -43,8 +46,7 @@ NetworkNnStream::NetworkNnStream(const GraphPager* pager,
 
   best_.assign(mapping->object_count(), kInfDist);
   // Objects sharing the source edge are reachable directly along it.
-  OkOrThrow(mapping_->ObjectsOnEdge(source.edge, &scratch_objects_));
-  for (const EdgeObject& obj : scratch_objects_) {
+  for (const EdgeObject& obj : ValueOrThrow(memo_->Get(source.edge))) {
     Offer(obj.object, std::abs(obj.dist_u - source.offset));
   }
 }
@@ -76,13 +78,12 @@ void NetworkNnStream::ProbeEdge(EdgeId edge, NodeId node, Dist node_dist) {
   // Most edges carry no object; their middle-layer lookup would touch the
   // B+-tree only to come back empty.
   if (!mapping_->HasObjects(edge)) return;
-  scratch_objects_.clear();
-  OkOrThrow(mapping_->ObjectsOnEdge(edge, &scratch_objects_));
-  if (scratch_objects_.empty()) return;
+  const std::span<const EdgeObject> objects = ValueOrThrow(memo_->Get(edge));
+  if (objects.empty()) return;
   const RoadNetwork::Edge& e = mapping_->network().EdgeAt(edge);
   const bool node_is_u = (e.u == node);
   MSQ_DCHECK(node_is_u || e.v == node);
-  for (const EdgeObject& obj : scratch_objects_) {
+  for (const EdgeObject& obj : objects) {
     Offer(obj.object, node_dist + (node_is_u ? obj.dist_u : obj.dist_v));
   }
 }
@@ -124,9 +125,9 @@ std::optional<NetworkNnStream::Visit> NetworkNnStream::Next() {
       if (heap_.empty()) return std::nullopt;
       continue;
     }
-    // Probe every incident edge from this (now exact) endpoint.
-    OkOrThrow(pager_->AdjacencyOf(settled->node, &scratch_adjacency_));
-    for (const AdjacencyEntry& adj : scratch_adjacency_) {
+    // Probe every incident edge from this (now exact) endpoint, reading
+    // the adjacency the wavefront decoded to settle it.
+    for (const AdjacencyEntry& adj : settled->adjacency) {
       ProbeEdge(adj.edge, settled->node, settled->distance);
     }
   }

@@ -6,7 +6,10 @@
 // probes: whenever a node settles, each incident edge that carries an
 // object (SpatialMapping::HasObjects) is looked up in the B+-tree middle
 // layer for its resident objects, whose distances become exact as soon as
-// they drop below the wavefront radius.
+// they drop below the wavefront radius. The probes walk the adjacency list
+// the wavefront decoded to settle the node, and each edge's records come
+// from a query-scoped EdgeObjectMemo, so one query reads every adjacency
+// record once per settle and every occupied edge's records once.
 //
 // A finished (or truncated) stream can be snapshotted — Dijkstra checkpoint
 // plus the per-object distance estimates — and a later stream from the same
@@ -18,6 +21,7 @@
 #ifndef MSQ_GRAPH_NN_STREAM_H_
 #define MSQ_GRAPH_NN_STREAM_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -50,9 +54,12 @@ class NetworkNnStream {
   // Neither pointer is owned. When `resume` is non-null it must have been
   // snapshotted from a stream with the same source over the same network
   // and object set (asserted by size); the new stream copies it and the
-  // snapshot may be freed afterwards.
+  // snapshot may be freed afterwards. `memo` (not owned) serves the
+  // middle-layer lookups and may be shared by streams of one query that
+  // run on one thread; when null the stream keeps a memo of its own.
   NetworkNnStream(const GraphPager* pager, const SpatialMapping* mapping,
-                  Location source, const Snapshot* resume = nullptr);
+                  Location source, const Snapshot* resume = nullptr,
+                  EdgeObjectMemo* memo = nullptr);
 
   struct Visit {
     ObjectId object;
@@ -96,15 +103,14 @@ class NetworkNnStream {
   void HeapPop();
 
   DijkstraSearch search_;
-  const GraphPager* pager_;
   const SpatialMapping* mapping_;
+  std::unique_ptr<EdgeObjectMemo> own_memo_;  // set when none was passed
+  EdgeObjectMemo* memo_;
   std::vector<Dist> best_;
   std::vector<std::uint8_t> emitted_;
   // Min-heap via std::push_heap/pop_heap (vector is directly rebuildable
   // from a snapshot).
   std::vector<HeapItem> heap_;
-  std::vector<EdgeObject> scratch_objects_;
-  std::vector<AdjacencyEntry> scratch_adjacency_;
 };
 
 }  // namespace msq

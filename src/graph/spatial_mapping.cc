@@ -235,4 +235,29 @@ Point SpatialMapping::ObjectPosition(ObjectId id) const {
   return positions_[id];
 }
 
+EdgeObjectMemo::EdgeObjectMemo(const SpatialMapping* mapping)
+    : mapping_(mapping) {
+  MSQ_CHECK(mapping != nullptr);
+}
+
+StatusOr<std::span<const EdgeObject>> EdgeObjectMemo::Get(EdgeId edge) {
+  if (slot_.empty()) slot_.assign(mapping_->network().edge_count(), 0);
+  MSQ_DCHECK(edge < slot_.size());
+  std::uint32_t& slot = slot_[edge];
+  if (slot == 0) {
+    scratch_.clear();
+    if (Status status = mapping_->ObjectsOnEdge(edge, &scratch_);
+        !status.ok()) {
+      return status;
+    }
+    ranges_.push_back(Range{static_cast<std::uint32_t>(records_.size()),
+                            static_cast<std::uint32_t>(scratch_.size())});
+    records_.insert(records_.end(), scratch_.begin(), scratch_.end());
+    slot = static_cast<std::uint32_t>(ranges_.size());
+  }
+  const Range& range = ranges_[slot - 1];
+  return std::span<const EdgeObject>(records_.data() + range.begin,
+                                     range.count);
+}
+
 }  // namespace msq

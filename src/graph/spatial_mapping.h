@@ -9,6 +9,8 @@
 #ifndef MSQ_GRAPH_SPATIAL_MAPPING_H_
 #define MSQ_GRAPH_SPATIAL_MAPPING_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -105,6 +107,37 @@ class SpatialMapping {
   // record.
   std::vector<bool> occupied_;
   BpTree index_;
+};
+
+// Query-scoped memo of middle-layer lookups. The first Get of an edge
+// reads its records from the B+-tree (ObjectsOnEdge, I/O counted as
+// usual); every later Get of that edge returns the stored copy without
+// touching an index page. The middle layer only changes between queries
+// (at build time or under the executor's exclusive write barrier), so a
+// memo that lives for one query cannot go stale — it must not outlive
+// the query. Not thread-safe: only streams driven by one thread may share
+// a memo.
+class EdgeObjectMemo {
+ public:
+  // `mapping` is not owned. The per-edge table is allocated on first Get.
+  explicit EdgeObjectMemo(const SpatialMapping* mapping);
+
+  // The objects on `edge`, exactly as ObjectsOnEdge returns them. The
+  // span is valid until the next Get. A failed lookup memoizes nothing.
+  StatusOr<std::span<const EdgeObject>> Get(EdgeId edge);
+
+ private:
+  struct Range {
+    std::uint32_t begin;
+    std::uint32_t count;
+  };
+
+  const SpatialMapping* mapping_;
+  // Per edge: 0 before its first lookup, else 1 + its index in ranges_.
+  std::vector<std::uint32_t> slot_;
+  std::vector<Range> ranges_;
+  std::vector<EdgeObject> records_;
+  std::vector<EdgeObject> scratch_;
 };
 
 }  // namespace msq

@@ -351,13 +351,15 @@ MsqServer::Reply MsqServer::HandleQuery(const std::string& text,
       static_cast<std::uint64_t>(queue_seconds * 1e6));
   wall_us_hist_->Observe(
       static_cast<std::uint64_t>(total_seconds * 1e6));
-  // True queue wait — accept to execute-start on a worker, from the
-  // executor's clock stamps — split by outcome. Falls back to the derived
-  // figure if the stamps are missing (disabled telemetry never clears
-  // them, so this is belt-and-braces).
+  // True queue wait — admission to execute-start on a worker, from the
+  // executor's clock stamps — split by outcome. It starts at admit_at, not
+  // at receipt, so it excludes parse_ms and the wide event's stages stay
+  // disjoint parts of total_ms. Falls back to the derived figure if the
+  // stamps are missing (disabled telemetry never clears them, so this is
+  // belt-and-braces).
   const double queue_wait_seconds =
       result.exec_started_at > 0.0
-          ? std::max(0.0, result.exec_started_at - received_at)
+          ? std::max(0.0, result.exec_started_at - admit_at)
           : queue_seconds;
   obs::Histogram* queue_wait_hist =
       outcome == RequestOutcome::kCompleted   ? queue_wait_completed_

@@ -203,7 +203,10 @@ TEST(CacheCorrectnessTest, TruncatedResumesYieldTrueSkylinePrefixes) {
   ASSERT_TRUE(unlimited.status.ok());
 
   SkylineQuerySpec limited = spec;
-  limited.limits.max_page_accesses = 200;
+  // Small enough that a cold run truncates: CE reads each settled node's
+  // adjacency and each occupied edge's middle-layer records once per
+  // query, so a full cold run of this query stays under 200 accesses.
+  limited.limits.max_page_accesses = 100;
 
   // Run the budgeted query repeatedly against one cache. Each run resumes
   // the stored wavefronts, pays its page budget on fresh expansion, and

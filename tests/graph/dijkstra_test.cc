@@ -87,6 +87,30 @@ TEST(DijkstraTest, MatchesReferenceOnRandomNetwork) {
   }
 }
 
+// Each settle hands out the adjacency list it decoded to expand the node:
+// the same list the pager returns, read with one page access.
+TEST(DijkstraTest, SettledCarriesItsDecodedAdjacency) {
+  PagedFixture f(GenerateNetwork({.node_count = 300,
+                                  .edge_count = 450,
+                                  .seed = 23}));
+  DijkstraSearch search(&f.pager, Location{3, 0.0});
+  std::vector<AdjacencyEntry> want;
+  for (;;) {
+    f.buffer.ResetStats();
+    const auto settled = search.NextSettled();
+    if (!settled.has_value()) break;
+    ASSERT_EQ(f.buffer.stats().accesses(), 1u);
+    ASSERT_TRUE(f.pager.AdjacencyOf(settled->node, &want).ok());
+    ASSERT_EQ(settled->adjacency.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(settled->adjacency[k].neighbor, want[k].neighbor);
+      EXPECT_EQ(settled->adjacency[k].edge, want[k].edge);
+      EXPECT_EQ(settled->adjacency[k].length, want[k].length);
+    }
+  }
+  EXPECT_EQ(search.settled_count(), f.network.node_count());
+}
+
 TEST(DijkstraTest, RadiusIsLowerBoundOnUnsettled) {
   PagedFixture f(testing::MakeGridNetwork(5));
   DijkstraSearch search(&f.pager, Location{0, 0.0});

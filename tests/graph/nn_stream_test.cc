@@ -1,6 +1,8 @@
 #include "graph/nn_stream.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -243,6 +245,65 @@ TEST(NetworkNnStreamTest, ExhaustedSnapshotResumeReadsNoPages) {
   // which pops nothing new when the snapshot was exhausted; no adjacency
   // page reads should occur.
   EXPECT_EQ(f.graph_buffer.stats().accesses(), accesses_before);
+}
+
+// Streams of one query may share a memo of middle-layer lookups: each then
+// emits exactly the (distance, id) sequence it emits with a memo of its
+// own, while an occupied edge reached by several wavefronts is read from
+// the B+-tree once.
+TEST(NetworkNnStreamTest, SharedMemoEmitsWhatPrivateMemosEmit) {
+  RoadNetwork network = GenerateNetwork({.node_count = 300,
+                                         .edge_count = 420,
+                                         .seed = 71});
+  auto objects = GenerateObjects(network, 120, 29);
+  StreamFixture f(std::move(network), objects);
+  const std::vector<Location> sources = {
+      {0, 0.0}, {57, 0.0}, {133, 0.0}, {301, 0.0}};
+
+  struct Run {
+    std::vector<std::vector<NetworkNnStream::Visit>> emitted;
+    std::uint64_t index_accesses = 0;
+  };
+  // Round-robin over the streams until every one is exhausted, as CE does.
+  const auto drain = [&](bool shared) {
+    f.index_buffer.ResetStats();
+    EdgeObjectMemo memo(&f.mapping);
+    std::vector<std::unique_ptr<NetworkNnStream>> streams;
+    for (const Location& source : sources) {
+      streams.push_back(std::make_unique<NetworkNnStream>(
+          &f.pager, &f.mapping, source, nullptr, shared ? &memo : nullptr));
+    }
+    Run run;
+    run.emitted.resize(streams.size());
+    std::size_t live = streams.size();
+    std::vector<bool> done(streams.size(), false);
+    while (live > 0) {
+      for (std::size_t q = 0; q < streams.size(); ++q) {
+        if (done[q]) continue;
+        if (const auto visit = streams[q]->Next()) {
+          run.emitted[q].push_back(*visit);
+        } else {
+          done[q] = true;
+          --live;
+        }
+      }
+    }
+    run.index_accesses = f.index_buffer.stats().accesses();
+    return run;
+  };
+
+  const Run own = drain(false);
+  const Run shared = drain(true);
+  for (std::size_t q = 0; q < sources.size(); ++q) {
+    ASSERT_EQ(shared.emitted[q].size(), own.emitted[q].size()) << q;
+    EXPECT_EQ(own.emitted[q].size(), objects.size()) << q;
+    for (std::size_t k = 0; k < own.emitted[q].size(); ++k) {
+      EXPECT_EQ(shared.emitted[q][k].object, own.emitted[q][k].object);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shared.emitted[q][k].distance),
+                std::bit_cast<std::uint64_t>(own.emitted[q][k].distance));
+    }
+  }
+  EXPECT_LT(shared.index_accesses, own.index_accesses);
 }
 
 }  // namespace

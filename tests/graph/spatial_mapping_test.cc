@@ -186,5 +186,59 @@ TEST_F(SpatialMappingTest, OccupancyMatchesMiddleLayerThroughChurn) {
   expect_agreement(mapping, "after RebuildIndex");
 }
 
+// A query's EdgeObjectMemo returns exactly what the middle layer holds on
+// every edge, and a repeated Get reads no index page. A memo lives for one
+// query, so each "query" below (after the build, an insert, a delete)
+// opens a fresh one and sees the mutation.
+TEST_F(SpatialMappingTest, EdgeObjectMemoMatchesMiddleLayerAcrossQueries) {
+  const auto expect_memo_matches = [&](const SpatialMapping& mapping,
+                                       const char* when) {
+    EdgeObjectMemo memo(&mapping);
+    std::vector<EdgeObject> want;
+    for (int pass = 0; pass < 2; ++pass) {
+      buffer_.ResetStats();
+      for (EdgeId e = 0; e < network_.edge_count(); ++e) {
+        const std::uint64_t before = buffer_.stats().accesses();
+        const auto got = memo.Get(e);
+        ASSERT_TRUE(got.ok()) << when;
+        const std::uint64_t read = buffer_.stats().accesses() - before;
+        want.clear();
+        ASSERT_TRUE(mapping.ObjectsOnEdge(e, &want).ok());
+        if (pass == 0) {
+          EXPECT_GT(read, 0u) << when << ", edge " << e;
+        } else {
+          EXPECT_EQ(read, 0u) << when << ", edge " << e;
+        }
+        ASSERT_EQ(got.value().size(), want.size()) << when << ", edge " << e;
+        for (std::size_t k = 0; k < want.size(); ++k) {
+          EXPECT_EQ(got.value()[k].object, want[k].object);
+          EXPECT_EQ(got.value()[k].dist_u, want[k].dist_u);
+          EXPECT_EQ(got.value()[k].dist_v, want[k].dist_v);
+        }
+      }
+    }
+  };
+
+  // Several objects on a few edges, none on the rest.
+  std::vector<Location> objects;
+  for (int i = 0; i < 12; ++i) {
+    const auto edge = static_cast<EdgeId>(i % 4);
+    objects.push_back({edge, network_.EdgeAt(edge).length * (i + 1) / 13.0});
+  }
+  SpatialMapping mapping(&network_, &buffer_, objects);
+  expect_memo_matches(mapping, "after build");
+
+  const EdgeId empty_edge = 9;
+  ASSERT_FALSE(mapping.HasObjects(empty_edge));
+  ASSERT_TRUE(
+      mapping.InsertObject({empty_edge, network_.EdgeAt(empty_edge).length / 2})
+          .ok());
+  expect_memo_matches(mapping, "after insert");
+
+  ASSERT_TRUE(mapping.DeleteObject(1).value());
+  ASSERT_TRUE(mapping.DeleteObject(5).value());
+  expect_memo_matches(mapping, "after delete");
+}
+
 }  // namespace
 }  // namespace msq

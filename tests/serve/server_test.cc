@@ -504,6 +504,12 @@ TEST(ServerTest, RequestzServesWideEventsForEveryOutcome) {
   EXPECT_EQ(events[0].trace_id.size(), 32u);
   EXPECT_GT(events[0].total_ms, 0.0);
   EXPECT_GE(events[0].total_ms, events[0].execute_ms);
+  // The stages are disjoint parts of the request's span: the queue wait
+  // starts at admission, after the parse, so parse time counts once.
+  const obs::WideEvent& done = events[0];
+  EXPECT_LE(done.queue_ms + done.parse_ms + done.execute_ms +
+                done.serialize_ms + done.write_ms,
+            done.total_ms + 1e-9);
   EXPECT_EQ(events[1].outcome, "rejected");
   EXPECT_EQ(events[1].http_status, 400);
   EXPECT_EQ(events[1].trace_id.size(), 32u);
