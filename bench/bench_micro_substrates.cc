@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the substrates the query algorithms
 // are built on: buffer pool, B+-tree probes, R-tree NN browsing, Dijkstra
-// and A* expansion, and the Euclidean skyline browser — plus one cold CE
-// and EDC query, which report the page accesses those substrates cost.
+// and A* expansion, the Euclidean skyline browser and the dominance kernel
+// — plus one cold CE, EDC and LBC query, which report the page accesses
+// those substrates cost.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -242,6 +243,46 @@ void BM_FirstDominator(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstDominator)->Arg(0)->Arg(1);
 
+// The kernel on recorded rows: the 373-row, d = 4 skyline LBC reports for
+// one na_cold point set (NA x0.5, network seed 1, SampleQuery(4, 1006)),
+// probed in turn with the Euclidean lower-bound vector of every 16th
+// object, the shape of LBC's R-tree prune at the leaves. Items are rows per
+// probe, so items/s compares with the synthetic full scans above.
+void BM_FirstDominatorRecorded(benchmark::State& state) {
+  WorkloadConfig config;
+  config.network = PaperNetworkConfig(NetworkClass::kNA, 0.5, 1);
+  Workload workload(config);
+  const Dataset dataset = workload.dataset();
+  const SkylineQuerySpec spec = workload.SampleQuery(4, 1006);
+  const SkylineResult result = RunSkylineQuery(Algorithm::kLbc, dataset, spec);
+  VectorRows rows(spec.sources.size());
+  for (const SkylineEntry& entry : result.skyline) rows.Append(entry.vector);
+  std::vector<DistVector> probes;
+  for (ObjectId id = 0; id < dataset.object_count(); id += 16) {
+    const Point p = dataset.mapping->ObjectPosition(id);
+    DistVector lb;
+    for (const Location& source : spec.sources) {
+      lb.push_back(
+          EuclideanDistance(dataset.network->LocationPosition(source), p));
+    }
+    probes.push_back(std::move(lb));
+  }
+  std::size_t next = 0;
+  std::size_t hits = 0;
+  for (auto _ : state) {
+    const std::size_t found =
+        FirstDominator(rows, probes[next], kFpTieMargin);
+    benchmark::DoNotOptimize(found);
+    hits += found < rows.size();
+    next = next + 1 < probes.size() ? next + 1 : 0;
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+  state.counters["rows"] = static_cast<double>(rows.size());
+  state.counters["hit_frac"] =
+      static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FirstDominatorRecorded);
+
 void BM_EuclideanSkylineBrowse(benchmark::State& state) {
   InMemoryDiskManager disk;
   BufferManager buffer(&disk, 4096);
@@ -302,6 +343,11 @@ void BM_EdcColdQuery(benchmark::State& state) {
   RunColdQuery(state, Algorithm::kEdc);
 }
 BENCHMARK(BM_EdcColdQuery)->Unit(benchmark::kMillisecond);
+
+void BM_LbcColdQuery(benchmark::State& state) {
+  RunColdQuery(state, Algorithm::kLbc);
+}
+BENCHMARK(BM_LbcColdQuery)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace msq

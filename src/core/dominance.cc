@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -74,6 +75,29 @@ DistSummary SummarizeRow(const Dist* v, std::size_t dims) {
   return s;
 }
 
+// A closure type rather than a function, so the sort and merge inline it.
+constexpr auto kColumnLess = [](const VectorRows::ColumnEntry& a,
+                                const VectorRows::ColumnEntry& b) {
+  return a.value < b.value || (a.value == b.value && a.row < b.row);
+};
+
+// The rows that can be <= b everywhere: the prefix of the column, over all
+// dimensions, with the fewest rows <= b in its dimension (the first such
+// dimension on a tie), returned from its largest value down. Empty when
+// the store has no rows or no dimensions. Over the 24 cold na_cold requests
+// the descending order reached a dominator after fewer tests than the
+// ascending one: LBC 548k -> 431k, EDC 9.29M -> 8.54M (DESIGN.md §19).
+auto CandidatePrefix(const VectorRows& rows, std::span<const Dist> b) {
+  std::span<const VectorRows::ColumnEntry> best;
+  for (std::size_t k = 0; !rows.empty() && k < rows.dims(); ++k) {
+    const std::span<const VectorRows::ColumnEntry> prefix =
+        rows.ColumnAtMost(k, b[k]);
+    if (k == 0 || prefix.size() < best.size()) best = prefix;
+    if (best.empty()) break;
+  }
+  return best | std::views::reverse;
+}
+
 }  // namespace
 
 void VectorRows::Append(std::span<const Dist> v) {
@@ -90,6 +114,44 @@ void VectorRows::SwapRemove(std::size_t i) {
                 values_.begin() + i * dims_);
   }
   values_.resize(size_ * dims_);
+  columns_.clear();
+  indexed_ = 0;
+}
+
+std::span<const VectorRows::ColumnEntry> VectorRows::Column(
+    std::size_t k) const {
+  MSQ_CHECK(k < dims_);
+  if (indexed_ != size_ || columns_.empty()) ExtendColumns();
+  return columns_[k];
+}
+
+std::span<const VectorRows::ColumnEntry> VectorRows::ColumnAtMost(
+    std::size_t k, Dist limit) const {
+  const std::span<const ColumnEntry> column = Column(k);
+  const auto end = std::upper_bound(
+      column.begin(), column.end(), limit,
+      [](Dist v, const ColumnEntry& e) { return v < e.value; });
+  return column.first(static_cast<std::size_t>(end - column.begin()));
+}
+
+void VectorRows::ExtendColumns() const {
+  MSQ_CHECK(size_ <= std::numeric_limits<std::uint32_t>::max());
+  columns_.resize(dims_);
+  for (std::size_t k = 0; k < dims_; ++k) {
+    // Sort the new rows, then merge them behind the indexed ones: one
+    // pass per dimension however many rows arrived since the last search.
+    std::vector<ColumnEntry>& column = columns_[k];
+    const auto old_end = static_cast<std::ptrdiff_t>(column.size());
+    for (std::size_t r = indexed_; r < size_; ++r) {
+      const Dist v = values_[r * dims_ + k];
+      MSQ_CHECK(!std::isnan(v));
+      column.push_back({v, static_cast<std::uint32_t>(r)});
+    }
+    std::sort(column.begin() + old_end, column.end(), kColumnLess);
+    std::inplace_merge(column.begin(), column.begin() + old_end, column.end(),
+                       kColumnLess);
+  }
+  indexed_ = size_;
 }
 
 std::size_t FirstDominator(const VectorRows& rows, std::span<const Dist> b,
@@ -97,28 +159,35 @@ std::size_t FirstDominator(const VectorRows& rows, std::span<const Dist> b,
   MSQ_CHECK(b.size() == rows.dims());
   const std::size_t size = rows.size();
   const std::size_t dims = rows.dims();
-  const Dist* row = rows.data();
-  std::size_t i = 0;
-  for (; i < size; ++i, row += dims) {
-    if (i != skip && RowDominates(row, b.data(), dims, margin)) break;
+  std::uint64_t tests = 0;
+  std::size_t found = size;
+  for (const VectorRows::ColumnEntry& e : CandidatePrefix(rows, b)) {
+    if (e.row == skip) continue;
+    ++tests;
+    if (RowDominates(rows.data() + e.row * dims, b.data(), dims, margin)) {
+      found = e.row;
+      break;
+    }
   }
-  const std::size_t examined = i < size ? i + 1 : size;
-  CountScan(examined - (skip < examined ? 1 : 0),
-            i < size ? size - i - 1 : 0);
-  return i;
+  const std::size_t candidates = size - (skip < size ? 1 : 0);
+  CountScan(tests, candidates - tests);
+  return found;
 }
 
 std::size_t CountDominators(const VectorRows& rows, std::span<const Dist> b,
                             double margin, std::size_t cap) {
   MSQ_CHECK(b.size() == rows.dims());
   const std::size_t dims = rows.dims();
-  const Dist* row = rows.data();
   std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i < rows.size() && count < cap; ++i, row += dims) {
-    if (RowDominates(row, b.data(), dims, margin)) ++count;
+  std::uint64_t tests = 0;
+  for (const VectorRows::ColumnEntry& e : CandidatePrefix(rows, b)) {
+    if (count >= cap) break;
+    ++tests;
+    if (RowDominates(rows.data() + e.row * dims, b.data(), dims, margin)) {
+      ++count;
+    }
   }
-  CountScan(i, 0);
+  CountScan(tests, rows.size() - tests);
   return count;
 }
 

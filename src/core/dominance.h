@@ -25,8 +25,22 @@ using DistVector = std::vector<Dist>;
 
 // Row-major store of equal-length vectors: one contiguous buffer, so a scan
 // walks memory linearly and appending a vector allocates only on growth.
+//
+// A store that is searched also keeps, per dimension, its rows sorted by
+// their value in that dimension (DESIGN.md §19). The columns are extended
+// lazily, in one merge per dimension, by the first Column call after rows
+// were appended, so a store that is never searched pays nothing for them.
+// That makes even the const Column (and FirstDominator / CountDominators)
+// mutate the store: a VectorRows must not be used by two threads at once.
 class VectorRows {
  public:
+  // One entry of a sorted column: row `row` holds `value` in that
+  // dimension.
+  struct ColumnEntry {
+    Dist value;
+    std::uint32_t row;
+  };
+
   explicit VectorRows(std::size_t dims) : dims_(dims) {}
 
   std::size_t dims() const { return dims_; }
@@ -39,13 +53,28 @@ class VectorRows {
 
   // Appends a copy of `v`, which must have dims() components.
   void Append(std::span<const Dist> v);
-  // Overwrites row `i` with the last row and drops the last.
+  // Overwrites row `i` with the last row and drops the last. Drops the
+  // sorted columns (the next Column call rebuilds them).
   void SwapRemove(std::size_t i);
 
+  // Every row, ascending by its value in dimension `k` (ties by row
+  // index). Valid until the next non-const call or the next Column call
+  // after an Append. Components must not be NaN.
+  std::span<const ColumnEntry> Column(std::size_t k) const;
+  // The prefix of Column(k) with value <= limit.
+  std::span<const ColumnEntry> ColumnAtMost(std::size_t k, Dist limit) const;
+
  private:
+  // Brings the columns up to size_ rows.
+  void ExtendColumns() const;
+
   std::size_t dims_;
   std::size_t size_ = 0;
   std::vector<Dist> values_;
+  // Rows [0, indexed_) are in columns_; columns_ is empty or has dims_
+  // entries.
+  mutable std::vector<std::vector<ColumnEntry>> columns_;
+  mutable std::size_t indexed_ = 0;
 };
 
 // Whether `a` dominates `b` (strictly better somewhere, nowhere worse).
@@ -66,20 +95,26 @@ inline constexpr double kFpTieMargin = 1e-9;
 
 inline constexpr std::size_t kNoSkip = std::numeric_limits<std::size_t>::max();
 
-// Index of the first row of `rows` that dominates `b`, or rows.size() if
-// none does. A row dominates when it is <= b everywhere and < b[i] - margin
-// somewhere: margin 0 is exact Dominates, kFpTieMargin is for an optimistic
-// `b` computed through a different FP path than the rows (R-tree bounds).
+// A row of `rows` that dominates `b`, or rows.size() if none does. A row
+// dominates when it is <= b everywhere and < b[i] - margin somewhere:
+// margin 0 is exact Dominates, kFpTieMargin is for an optimistic `b`
+// computed through a different FP path than the rows (R-tree bounds).
 // Row `skip` is left out (tie-safety passes exclude the entry itself).
 //
-// Accounting (DESIGN.md §17): one dominance test per row examined, and on a
-// hit at row i, size - i - 1 tests avoided; both are added once per scan to
-// the global registry and the calling thread's obs::ThreadCounters block.
+// Only rows that are <= b in the dimension where fewest are get tested
+// (VectorRows::Column): a dominator is <= b in every dimension, so the
+// search is exact. Which dominator it returns is unspecified.
+//
+// Accounting (DESIGN.md §17): one dominance test per row tested, and every
+// other row (`skip` aside) counted as avoided; both are added once per
+// scan to the global registry and the calling thread's obs::ThreadCounters
+// block.
 std::size_t FirstDominator(const VectorRows& rows, std::span<const Dist> b,
                            double margin, std::size_t skip = kNoSkip);
 
-// Number of rows dominating `b` (same test as FirstDominator), stopping at
-// `cap`. Counts one dominance test per row examined.
+// Number of rows dominating `b` (same test and same candidate rows as
+// FirstDominator), stopping at `cap`. Counts one dominance test per row
+// tested.
 std::size_t CountDominators(const VectorRows& rows, std::span<const Dist> b,
                             double margin, std::size_t cap);
 

@@ -209,11 +209,9 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
   // Step 2: screen candidate p with path distance lower bounds.
   // Returns p's full vector if it is a skyline point, empty if dominated.
   //
-  // Domination bookkeeping is incremental: each potential dominator s in S
-  // keeps a bitmask of the distance dimensions where s[i] <= bound[i]
-  // already holds. Bounds only grow, so when a dimension advances only
-  // that dimension's bit needs re-checking — O(|S|) per expansion instead
-  // of O(|S| * n), which dominates at large |Q| where skylines are big.
+  // Domination is decided by an LbcScreen, which re-tests only the rows
+  // of S that a grown bound can have changed.
+  //
   // Pruning-power classification (ExecutionPlan): an object rejected while
   // some distance dimension was still only a lower bound was pruned *by*
   // the bound; one whose every dimension was resolved exactly (skyline
@@ -279,84 +277,20 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       }
     }
 
-    // Candidate dominators: s that are no worse on every static attribute
-    // (others can never dominate p, whatever the distances turn out to be).
-    struct Dominator {
-      const Dist* vec;  // row of skyline_rows
-      std::uint64_t satisfied_mask = 0;  // dims with s[i] <= bound[i]
-      std::uint32_t satisfied = 0;
-      bool strict = false;
+    auto reject = [&] {
+      if (all_exact(exact)) {
+        CountBoundExamined();
+      } else {
+        CountBoundPruned();
+      }
+      return DistVector{};
     };
-    MSQ_CHECK(n <= 64);
-    std::vector<Dominator> dominators;
-    dominators.reserve(skyline_rows.size());
-    for (std::size_t si = 0; si < skyline_rows.size(); ++si) {
-      const Dist* s = skyline_rows.row(si).data();
-      bool attr_ok = true;
-      bool attr_strict = false;
-      for (std::size_t j = 0; j < attr_dims; ++j) {
-        if (s[n + j] > attrs[j]) {
-          attr_ok = false;
-          break;
-        }
-        if (s[n + j] < attrs[j]) attr_strict = true;
-      }
-      if (!attr_ok) continue;
-      Dominator d;
-      d.vec = s;
-      d.strict = attr_strict;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (s[i] <= bound[i]) {
-          d.satisfied_mask |= std::uint64_t{1} << i;
-          ++d.satisfied;
-          // Strictness only from exact dimensions: a plb computed through
-          // a different floating-point path (Euclidean sqrt vs network
-          // offset sums) can exceed a mathematically equal distance by an
-          // ulp and fabricate a strict dimension against an exact
-          // duplicate. Exact dims compare network arithmetic to network
-          // arithmetic. (The "<=" side errs toward keeping candidates
-          // alive longer, never toward dropping them.)
-          if (exact[i] && s[i] < bound[i]) d.strict = true;
-        }
-      }
-      dominators.push_back(d);
-    }
+    LbcScreen screened(skyline_rows, n, attrs);
+    if (screened.Start(bound, exact)) return reject();
     // Initial bounds, before any probe expansion: the tightness a plb/ALT
     // bound achieved for a dimension is judged against these once the
     // probe completes with the exact distance.
     const DistVector initial_bound = bound;
-
-    auto is_dominating = [&](const Dominator& d) {
-      return d.satisfied == n && d.strict;
-    };
-    for (const Dominator& d : dominators) {
-      if (is_dominating(d)) {
-        if (all_exact(exact)) {
-          CountBoundExamined();
-        } else {
-          CountBoundPruned();
-        }
-        return {};
-      }
-    }
-
-    // Re-checks dominators against a grown bound in dimension `dim`.
-    auto update_dim = [&](std::size_t dim) -> bool {
-      const std::uint64_t bit = std::uint64_t{1} << dim;
-      for (Dominator& d : dominators) {
-        const Dist s_val = d.vec[dim];
-        if (s_val <= bound[dim]) {
-          if ((d.satisfied_mask & bit) == 0) {
-            d.satisfied_mask |= bit;
-            ++d.satisfied;
-          }
-          // See the Dominator-init comment: strict only from exact dims.
-          if (exact[dim] && s_val < bound[dim]) d.strict = true;
-          if (is_dominating(d)) return true;
-        }
-      }
-      return false;
-    };
 
     for (;;) {
       // All dimensions exact and undominated: skyline point.
@@ -380,7 +314,6 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       }
       AStarSearch::Probe& probe = *probes[best_dim];
       const Dist plb = probe.Advance();
-      const Dist old_bound = bound[best_dim];
       bound[best_dim] = std::max(bound[best_dim], plb);
       if (probe.done()) {
         bound[best_dim] = probe.distance();
@@ -405,13 +338,8 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
                                                   bound[best_dim]);
         if (spec.plan != nullptr) spec.plan->RecordTightness(pct);
       }
-      if (bound[best_dim] > old_bound && update_dim(best_dim)) {
-        if (all_exact(exact)) {
-          CountBoundExamined();
-        } else {
-          CountBoundPruned();
-        }
-        return {};  // dominated
+      if (screened.Step(best_dim, bound[best_dim], exact[best_dim])) {
+        return reject();
       }
     }
 
@@ -486,6 +414,76 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
 }
 
 }  // namespace
+
+LbcScreen::LbcScreen(const VectorRows& skyline, std::size_t n,
+                     std::span<const Dist> attrs)
+    : skyline_(skyline), n_(n), attrs_(attrs), cursor_(n, 0) {
+  MSQ_CHECK(skyline.dims() == n + attrs.size());
+}
+
+LbcScreen::Row LbcScreen::Test(std::uint32_t r) const {
+  const Dist* s = skyline_.row(r).data();
+  bool strict = false;
+  for (std::size_t j = 0; j < attrs_.size(); ++j) {
+    if (s[n_ + j] > attrs_[j]) return Row::kOpen;
+    if (s[n_ + j] < attrs_[j]) strict = true;
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (s[i] > reach_[i]) return Row::kOpen;
+    if (strict_[i] && s[i] < reach_[i]) strict = true;
+  }
+  return strict ? Row::kDominates : Row::kTied;
+}
+
+bool LbcScreen::Dominates(std::uint32_t r) {
+  const Row outcome = Test(r);
+  if (outcome == Row::kTied) tied_.push_back(r);
+  return outcome == Row::kDominates;
+}
+
+bool LbcScreen::Start(std::span<const Dist> bound,
+                      const std::vector<bool>& exact) {
+  MSQ_CHECK(bound.size() == n_ && exact.size() == n_);
+  reach_.assign(bound.begin(), bound.end());
+  strict_ = exact;
+  if (skyline_.empty()) return false;
+  // A dominator lies in every column's covered prefix: test the shortest.
+  std::size_t best_k = 0;
+  std::size_t best_len = skyline_.size();
+  for (std::size_t k = 0; k < skyline_.dims(); ++k) {
+    const std::size_t len =
+        skyline_.ColumnAtMost(k, k < n_ ? reach_[k] : attrs_[k - n_]).size();
+    if (k < n_) cursor_[k] = len;
+    if (len < best_len) {
+      best_k = k;
+      best_len = len;
+    }
+  }
+  for (const VectorRows::ColumnEntry& e :
+       skyline_.Column(best_k).first(best_len)) {
+    if (Dominates(e.row)) return true;
+  }
+  return false;
+}
+
+bool LbcScreen::Step(std::size_t dim, Dist bound, bool exact) {
+  MSQ_CHECK(dim < n_);
+  if (!(bound > reach_[dim])) return false;
+  reach_[dim] = bound;
+  if (exact && !strict_[dim]) {
+    strict_[dim] = true;
+    for (const std::uint32_t r : tied_) {
+      if (Test(r) == Row::kDominates) return true;
+    }
+  }
+  // Only the rows the grown reach newly covers became satisfied here.
+  const std::span<const VectorRows::ColumnEntry> column = skyline_.Column(dim);
+  for (std::size_t& c = cursor_[dim];
+       c < column.size() && column[c].value <= bound; ++c) {
+    if (Dominates(column[c].row)) return true;
+  }
+  return false;
+}
 
 SkylineResult RunLbc(const Dataset& dataset, const SkylineQuerySpec& spec,
                      const LbcOptions& options,

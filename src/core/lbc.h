@@ -17,6 +17,11 @@
 #ifndef MSQ_CORE_LBC_H_
 #define MSQ_CORE_LBC_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/dominance.h"
 #include "core/query.h"
 
 namespace msq {
@@ -33,6 +38,58 @@ struct LbcOptions {
   // alternatively"), which spreads early reported skyline points around
   // every query point instead of clustering them near one.
   bool alternate_sources = false;
+};
+
+// Step 2's dominance screen of one candidate p against the reported
+// skyline S (DESIGN.md §19, "LBC's screen"). Some s in S dominates p when
+//   s[n + j] <= attrs[j] for every attribute j,
+//   s[i] <= reach[i] for every distance dimension i, and
+//   s[n + j] < attrs[j] for some j, or s[i] < reach[i] for some i that is
+//   strict.
+// reach[i] is the largest bound dimension i was screened at, so
+// satisfaction is sticky: a probe completion can land an ulp below a
+// Euclidean bound, and it does not un-satisfy a row. Only exact dimensions
+// are strict, those exact at Start or made exact by a Step that grew their
+// bound (reach[i] is then the exact distance): a plb computed through a
+// different floating-point path (Euclidean sqrt vs network offset sums)
+// can exceed a mathematically equal distance by an ulp and fabricate a
+// strict dimension against an exact duplicate. A completion that does not
+// grow the bound adds no strictness. (The "<=" side errs toward keeping
+// candidates alive longer, never toward dropping them.)
+//
+// Only rows that can have changed are tested, on S's sorted columns
+// (VectorRows::Column): at Start the shortest column prefix that can hold a
+// dominator, and at a Step that grows dimension i the rows its new reach
+// covers, plus, if i turned strict, the rows satisfied everywhere but
+// strict nowhere. Dominance tests here are not counted.
+class LbcScreen {
+ public:
+  // `skyline` holds n distance dimensions then attrs.size() attributes;
+  // it and `attrs` must outlive the screen, and `skyline` must not change.
+  LbcScreen(const VectorRows& skyline, std::size_t n,
+            std::span<const Dist> attrs);
+
+  // Screens p at its initial bounds. Returns whether S dominates p.
+  bool Start(std::span<const Dist> bound, const std::vector<bool>& exact);
+  // Re-screens after a probe step left dimension `dim` at `bound`, exact
+  // or not. Returns whether S dominates p.
+  bool Step(std::size_t dim, Dist bound, bool exact);
+
+ private:
+  enum class Row { kOpen, kTied, kDominates };
+  Row Test(std::uint32_t r) const;
+  // Test, remembering a tied row.
+  bool Dominates(std::uint32_t r);
+
+  const VectorRows& skyline_;
+  const std::size_t n_;
+  const std::span<const Dist> attrs_;
+  DistVector reach_;
+  std::vector<bool> strict_;
+  // cursor_[i]: rows with s[i] <= reach_[i] (a prefix of column i).
+  std::vector<std::size_t> cursor_;
+  // Rows satisfied everywhere but strict nowhere.
+  std::vector<std::uint32_t> tied_;
 };
 
 SkylineResult RunLbc(const Dataset& dataset, const SkylineQuerySpec& spec,

@@ -205,8 +205,10 @@ inline constexpr char kDominanceAvoidedHist[] = "dominance_tests.avoided";
 //
 // Buffer rows split each pool's lookups into hits and misses (misses are
 // the paper's "pages accessed"). Pruning-power rows (DESIGN.md §17):
-// `dominance_avoided` counts pairwise tests a window early-exit or a
-// bound-based prune made unnecessary; `bound_pruned`/`bound_examined`
+// `dominance_avoided` counts the rows of a searched skyline set a
+// dominator search never tested (outside its sorted-column prefix, or past
+// a hit) and the pairwise tests a BNL window early-exit skipped;
+// `bound_pruned`/`bound_examined`
 // partition candidate objects by whether a plb/Euclid/ALT lower bound
 // eliminated them or exact distances had to be computed; `bound_samples`
 // counts bound-tightness ratios (plb/dN) observed at exact-completion

@@ -53,6 +53,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "exec/query_executor.h"
 #include "obs/request_context.h"
@@ -151,6 +152,11 @@ class MsqServer {
   // finalizes its write/total stages after the socket write and appends it
   // to the ring.
   struct Reply {
+    Reply() = default;
+    // A reply without a wide event (`return {body, status};`).
+    Reply(std::string body_in, int status)
+        : body(std::move(body_in)), http_status(status) {}
+
     std::string body;
     int http_status = 200;
     obs::WideEvent event;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -97,35 +100,54 @@ TEST(DominanceSummaryTest, FastPathStillCountsAsOneDominanceTest) {
   EXPECT_EQ(tc.dominance_tests, before + 1);
 }
 
-// The per-test loop every skyline-set scan used before FirstDominator: one
-// counted test per row examined, the rest of the set avoided on a hit.
+// The kernel's contract, modelled row by row: only the rows <= b in the
+// dimension where fewest are (the first such dimension on a tie) are
+// tested, in descending (value, row) order, `skip` left out; the first that
+// dominates is returned. One test per row tested; every other row but
+// `skip` is avoided.
 struct ReferenceScan {
   std::size_t index;
   std::uint64_t tests = 0;
   std::uint64_t avoided = 0;
 };
+bool RowDominatesRef(const DistVector& a, const DistVector& b, double margin) {
+  bool strict = false;
+  for (std::size_t d = 0; d < b.size(); ++d) {
+    if (a[d] > b[d]) return false;
+    if (a[d] < b[d] - margin) strict = true;
+  }
+  return strict;
+}
+std::vector<std::size_t> ReferencePrefix(const std::vector<DistVector>& rows,
+                                         const DistVector& b) {
+  std::vector<std::size_t> best;
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    std::vector<std::size_t> prefix;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i][k] <= b[k]) prefix.push_back(i);
+    }
+    std::stable_sort(prefix.begin(), prefix.end(),
+                     [&](std::size_t x, std::size_t y) {
+                       return rows[x][k] < rows[y][k];
+                     });
+    std::reverse(prefix.begin(), prefix.end());
+    if (k == 0 || prefix.size() < best.size()) best = prefix;
+  }
+  return best;
+}
 ReferenceScan ReferenceFirstDominator(const std::vector<DistVector>& rows,
                                       const DistVector& b, double margin,
                                       std::size_t skip) {
   ReferenceScan scan{rows.size()};
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  for (const std::size_t i : ReferencePrefix(rows, b)) {
     if (i == skip) continue;
     ++scan.tests;
-    bool no_worse = true;
-    bool strict = false;
-    for (std::size_t d = 0; d < b.size(); ++d) {
-      if (rows[i][d] > b[d]) {
-        no_worse = false;
-        break;
-      }
-      if (rows[i][d] < b[d] - margin) strict = true;
-    }
-    if (no_worse && strict) {
+    if (RowDominatesRef(rows[i], b, margin)) {
       scan.index = i;
-      scan.avoided = rows.size() - i - 1;
-      return scan;
+      break;
     }
   }
+  scan.avoided = rows.size() - (skip < rows.size() ? 1 : 0) - scan.tests;
   return scan;
 }
 
@@ -135,11 +157,13 @@ VectorRows ToRows(const std::vector<DistVector>& vectors, std::size_t dims) {
   return rows;
 }
 
+// Components on a quarter grid: exact ties, values exactly one margin
+// (0.25) apart, and +-inf are all frequent.
+constexpr Dist kGridValues[] = {-kInfDist, 0.0, 0.25, 0.5, 0.75, 1.0,
+                                kInfDist};
+constexpr double kMargins[] = {0.0, 0.25, kFpTieMargin};
+
 TEST(FirstDominatorTest, MatchesPerTestLoopOnRandomVectors) {
-  // Components on a quarter grid: exact ties, values exactly one margin
-  // (0.25) apart, and +-inf are all frequent.
-  const Dist kValues[] = {-kInfDist, 0.0, 0.25, 0.5, 0.75, 1.0, kInfDist};
-  const double kMargins[] = {0.0, 0.25, kFpTieMargin};
   const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
   Rng rng(7);
   for (int trial = 0; trial < 4000; ++trial) {
@@ -147,7 +171,7 @@ TEST(FirstDominatorTest, MatchesPerTestLoopOnRandomVectors) {
     const std::size_t size = 1 + rng.NextBounded(12);
     auto random_vector = [&] {
       DistVector v(dims);
-      for (Dist& x : v) x = kValues[rng.NextBounded(7)];
+      for (Dist& x : v) x = kGridValues[rng.NextBounded(7)];
       return v;
     };
     std::vector<DistVector> vectors(size);
@@ -173,6 +197,64 @@ TEST(FirstDominatorTest, MatchesPerTestLoopOnRandomVectors) {
   }
 }
 
+// Brute force: the answer is "none" exactly when no row but `skip`
+// dominates, and otherwise a dominating row other than `skip`; the capped
+// count is the brute-force count, capped. Rows are appended (and now and
+// then swap-removed) between searches, so the lazily extended columns are
+// searched at every stage of growth.
+TEST(FirstDominatorTest, AgreesWithBruteForceAsRowsAreAppended) {
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t dims = 1 + rng.NextBounded(6);
+    auto random_vector = [&] {
+      DistVector v(dims);
+      for (Dist& x : v) x = kGridValues[rng.NextBounded(7)];
+      return v;
+    };
+    VectorRows rows(dims);
+    std::vector<DistVector> vectors;
+    for (int step = 0; step < 40; ++step) {
+      const std::size_t appends = rng.NextBounded(4);
+      for (std::size_t a = 0; a < appends; ++a) {
+        vectors.push_back(random_vector());
+        rows.Append(vectors.back());
+      }
+      if (!vectors.empty() && rng.NextBounded(10) == 0) {
+        const std::size_t i = rng.NextBounded(vectors.size());
+        rows.SwapRemove(i);
+        vectors[i] = vectors.back();
+        vectors.pop_back();
+      }
+      const DistVector probe = random_vector();
+      const double margin = kMargins[rng.NextBounded(3)];
+      const std::size_t skip =
+          vectors.empty() || rng.NextBounded(2) == 0
+              ? kNoSkip
+              : rng.NextBounded(vectors.size());
+      const DistVector& b = skip == kNoSkip ? probe : vectors[skip];
+      std::size_t dominators = 0;
+      for (std::size_t i = 0; i < vectors.size(); ++i) {
+        if (i != skip && RowDominatesRef(vectors[i], b, margin)) ++dominators;
+      }
+      const std::size_t got = FirstDominator(rows, b, margin, skip);
+      if (dominators == 0) {
+        EXPECT_EQ(got, vectors.size()) << "trial " << trial;
+      } else {
+        ASSERT_LT(got, vectors.size()) << "trial " << trial;
+        EXPECT_NE(got, skip);
+        EXPECT_TRUE(RowDominatesRef(vectors[got], b, margin))
+            << "trial " << trial;
+      }
+      if (skip == kNoSkip) {
+        const std::size_t cap = rng.NextBounded(vectors.size() + 2);
+        EXPECT_EQ(CountDominators(rows, b, margin, cap),
+                  std::min(dominators, cap))
+            << "trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(FirstDominatorTest, EmptySetHasNoDominatorAndCountsNothing) {
   const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
   const std::uint64_t tests0 = tc.dominance_tests;
@@ -192,12 +274,19 @@ TEST(CountDominatorsTest, CountsUpToCapAndOneTestPerRowExamined) {
   const VectorRows rows = ToRows({{1, 1}, {5, 5}, {2, 2}, {0, 3}}, 2);
   const DistVector b = {3, 3};
   const obs::ThreadCounters& tc = obs::ThreadLocalCounters();
+  // Three rows are <= 3 in either dimension; {5, 5} is never tested.
   std::uint64_t tests0 = tc.dominance_tests;
+  std::uint64_t avoided0 = tc.dominance_avoided;
   EXPECT_EQ(CountDominators(rows, b, 0.0, rows.size()), 3u);
-  EXPECT_EQ(tc.dominance_tests - tests0, 4u);
-  tests0 = tc.dominance_tests;
-  EXPECT_EQ(CountDominators(rows, b, 0.0, 2), 2u);  // stops at row 2
   EXPECT_EQ(tc.dominance_tests - tests0, 3u);
+  EXPECT_EQ(tc.dominance_avoided - avoided0, 1u);
+  // Dimension 0's prefix, scanned from its largest value down, is {2, 2},
+  // {1, 1}, {0, 3}: the cap is reached after the first two.
+  tests0 = tc.dominance_tests;
+  avoided0 = tc.dominance_avoided;
+  EXPECT_EQ(CountDominators(rows, b, 0.0, 2), 2u);
+  EXPECT_EQ(tc.dominance_tests - tests0, 2u);
+  EXPECT_EQ(tc.dominance_avoided - avoided0, 2u);
 }
 
 TEST(VectorRowsTest, AppendAndSwapRemove) {

@@ -72,14 +72,18 @@ struct Pin {
 // the NN stream probes from the adjacency its wavefront decoded, CE's
 // streams share one memo of middle-layer lookups, and EDC bounds each
 // R-tree node once. Every miss, settle, dominance count and digest stayed.
+// dominance_tests fell and dominance_avoided rose when every dominator
+// search began testing only the rows of its shortest sorted-column prefix
+// and counting every other row as avoided (DESIGN.md §19); every other
+// value stayed.
 constexpr Pin kPins[] = {
     {Algorithm::kCe, 1000,
      "candidates=354 skyline=76 network_pages=358 "
      "network_page_accesses=4133 index_pages=22 "
      "index_page_accesses=1613 network_hits=3775 "
      "network_misses=358 index_hits=1591 index_misses=22 "
-     "settled_nodes=4133 dominance_tests=8550 "
-     "dominance_avoided=0 bound_pruned=917 bound_examined=76 "
+     "settled_nodes=4133 dominance_tests=1082 "
+     "dominance_avoided=7468 bound_pruned=917 bound_examined=76 "
      "bound_samples=0 bound_pct_sum=0 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
      "cache_memo_misses=0 digest=6e68a22a45be1782"},
@@ -88,7 +92,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=1180 index_pages=8 "
      "index_page_accesses=14 network_hits=1171 network_misses=9 "
      "index_hits=6 index_misses=8 settled_nodes=1180 "
-     "dominance_tests=56072 dominance_avoided=74043 "
+     "dominance_tests=22978 dominance_avoided=107137 "
      "bound_pruned=2365 bound_examined=211 bound_samples=844 "
      "bound_pct_sum=68613 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
@@ -98,7 +102,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=980 index_pages=8 "
      "index_page_accesses=8 network_hits=971 network_misses=9 "
      "index_hits=0 index_misses=8 settled_nodes=980 "
-     "dominance_tests=25243 dominance_avoided=24769 "
+     "dominance_tests=2161 dominance_avoided=47851 "
      "bound_pruned=120 bound_examined=91 bound_samples=407 "
      "bound_pct_sum=33075 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
@@ -108,8 +112,8 @@ constexpr Pin kPins[] = {
      "network_page_accesses=7354 index_pages=22 "
      "index_page_accesses=2346 network_hits=6220 "
      "network_misses=1134 index_hits=2324 index_misses=22 "
-     "settled_nodes=7354 dominance_tests=42084 "
-     "dominance_avoided=0 bound_pruned=1285 bound_examined=168 "
+     "settled_nodes=7354 dominance_tests=4159 "
+     "dominance_avoided=37925 bound_pruned=1285 bound_examined=168 "
      "bound_samples=0 bound_pct_sum=0 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
      "cache_memo_misses=0 digest=a94aae2d85dd1fab"},
@@ -118,8 +122,8 @@ constexpr Pin kPins[] = {
      "network_page_accesses=3834 index_pages=10 "
      "index_page_accesses=18 network_hits=3816 "
      "network_misses=18 index_hits=8 index_misses=10 "
-     "settled_nodes=3834 dominance_tests=261243 "
-     "dominance_avoided=171908 bound_pruned=2021 "
+     "settled_nodes=3834 dominance_tests=125339 "
+     "dominance_avoided=307812 bound_pruned=2021 "
      "bound_examined=555 bound_samples=2220 bound_pct_sum=168713 "
      "cache_wavefront_hits=0 cache_wavefront_misses=0 "
      "cache_memo_hits=0 cache_memo_misses=0 "
@@ -129,7 +133,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=2959 index_pages=10 "
      "index_page_accesses=10 network_hits=2944 network_misses=15 "
      "index_hits=0 index_misses=10 settled_nodes=2959 "
-     "dominance_tests=113379 dominance_avoided=10595 "
+     "dominance_tests=5892 dominance_avoided=118082 "
      "bound_pruned=326 bound_examined=229 bound_samples=1062 "
      "bound_pct_sum=80314 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
@@ -139,8 +143,8 @@ constexpr Pin kPins[] = {
      "network_page_accesses=3159 index_pages=22 "
      "index_page_accesses=1380 network_hits=3040 "
      "network_misses=119 index_hits=1358 index_misses=22 "
-     "settled_nodes=3159 dominance_tests=8103 "
-     "dominance_avoided=0 bound_pruned=770 bound_examined=74 "
+     "settled_nodes=3159 dominance_tests=846 "
+     "dominance_avoided=7257 bound_pruned=770 bound_examined=74 "
      "bound_samples=0 bound_pct_sum=0 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
      "cache_memo_misses=0 digest=4ac598d050d286b7"},
@@ -149,8 +153,8 @@ constexpr Pin kPins[] = {
      "network_page_accesses=1532 index_pages=9 "
      "index_page_accesses=16 network_hits=1518 "
      "network_misses=14 index_hits=7 index_misses=9 "
-     "settled_nodes=1532 dominance_tests=58649 "
-     "dominance_avoided=88162 bound_pruned=2353 "
+     "settled_nodes=1532 dominance_tests=24463 "
+     "dominance_avoided=122348 bound_pruned=2353 "
      "bound_examined=223 bound_samples=892 bound_pct_sum=68624 "
      "cache_wavefront_hits=0 cache_wavefront_misses=0 "
      "cache_memo_hits=0 cache_memo_misses=0 "
@@ -160,7 +164,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=991 index_pages=9 "
      "index_page_accesses=9 network_hits=979 network_misses=12 "
      "index_hits=0 index_misses=9 settled_nodes=991 "
-     "dominance_tests=24397 dominance_avoided=15471 "
+     "dominance_tests=1928 dominance_avoided=37940 "
      "bound_pruned=115 bound_examined=89 bound_samples=334 "
      "bound_pct_sum=26891 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
@@ -170,8 +174,8 @@ constexpr Pin kPins[] = {
      "network_page_accesses=3431 index_pages=22 "
      "index_page_accesses=1528 network_hits=3242 "
      "network_misses=189 index_hits=1506 index_misses=22 "
-     "settled_nodes=3431 dominance_tests=25155 "
-     "dominance_avoided=0 bound_pruned=822 bound_examined=130 "
+     "settled_nodes=3431 dominance_tests=2718 "
+     "dominance_avoided=22437 bound_pruned=822 bound_examined=130 "
      "bound_samples=0 bound_pct_sum=0 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
      "cache_memo_misses=0 digest=569ad8ede70caa60"},
@@ -180,7 +184,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=1539 index_pages=8 "
      "index_page_accesses=15 network_hits=1530 network_misses=9 "
      "index_hits=7 index_misses=8 settled_nodes=1539 "
-     "dominance_tests=115493 dominance_avoided=123340 "
+     "dominance_tests=51360 dominance_avoided=187473 "
      "bound_pruned=2338 bound_examined=238 bound_samples=952 "
      "bound_pct_sum=77458 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
@@ -190,7 +194,7 @@ constexpr Pin kPins[] = {
      "network_page_accesses=1232 index_pages=8 "
      "index_page_accesses=8 network_hits=1223 network_misses=9 "
      "index_hits=0 index_misses=8 settled_nodes=1232 "
-     "dominance_tests=47602 dominance_avoided=27875 "
+     "dominance_tests=3168 dominance_avoided=72309 "
      "bound_pruned=83 bound_examined=155 bound_samples=543 "
      "bound_pct_sum=44217 cache_wavefront_hits=0 "
      "cache_wavefront_misses=0 cache_memo_hits=0 "
