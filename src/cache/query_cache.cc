@@ -52,8 +52,19 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Rough per-entry bookkeeping overhead (list node + hash slot).
-constexpr std::size_t kEntryOverhead = 64;
+// Rough per-entry bookkeeping beyond the Entry itself (list node + hash
+// node).
+constexpr std::size_t kNodeOverhead = 64;
+
+// Slot count of a memo row's first allocation.
+constexpr std::size_t kMinRowCapacity = 8;
+
+// Home slot of `object` in a row of `mask + 1` slots (Fibonacci hashing,
+// high bits folded down so dense ids spread).
+std::size_t SlotIndex(ObjectId object, std::size_t mask) {
+  const std::uint64_t h = object * 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+}
 
 }  // namespace
 
@@ -120,20 +131,55 @@ std::size_t QueryCache::KeyHash::operator()(const Key& key) const {
   std::uint64_t offset_bits;
   static_assert(sizeof(offset_bits) == sizeof(key.offset));
   std::memcpy(&offset_bits, &key.offset, sizeof(offset_bits));
-  std::uint64_t h = SplitMix64(key.edge);
-  h = SplitMix64(h ^ offset_bits);
-  h = SplitMix64(h ^ key.object);
-  return static_cast<std::size_t>(h);
+  return static_cast<std::size_t>(SplitMix64(SplitMix64(key.edge) ^
+                                             offset_bits));
 }
 
-QueryCache::Key QueryCache::Canonical(const Location& source,
-                                      ObjectId object) {
+QueryCache::MemoRow::Slot* QueryCache::MemoRow::Find(ObjectId object) {
+  if (slots_.empty()) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  // Terminates: the row is never more than three quarters full.
+  for (std::size_t i = SlotIndex(object, mask);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.object == object) return &slot;
+    if (slot.object == kInvalidObject) return nullptr;
+  }
+}
+
+std::size_t QueryCache::MemoRow::CapacityForOneMore() const {
+  const std::size_t capacity = slots_.size();
+  if (4 * (size_ + 1) <= 3 * capacity) return capacity;
+  return std::max(kMinRowCapacity, 2 * capacity);
+}
+
+void QueryCache::MemoRow::Grow(std::size_t capacity) {
+  std::vector<Slot> old(capacity);
+  old.swap(slots_);
+  size_ = 0;
+  for (const Slot& slot : old) {
+    if (slot.object != kInvalidObject) Add(slot.object, slot.dist);
+  }
+}
+
+void QueryCache::MemoRow::Add(ObjectId object, Dist dist) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = SlotIndex(object, mask);
+  while (slots_[i].object != kInvalidObject) i = (i + 1) & mask;
+  slots_[i] = Slot{object, dist};
+  ++size_;
+}
+
+QueryCache::Key QueryCache::Canonical(const Location& source) {
   Key key;
   key.edge = source.edge;
-  // Normalize -0.0 so the two zero representations share one cache line.
+  // Normalize -0.0 so the two zero representations share one entry.
   key.offset = source.offset == 0.0 ? 0.0 : source.offset;
-  key.object = object;
   return key;
+}
+
+std::size_t QueryCache::EntryBytes(std::size_t snapshot_bytes,
+                                   std::size_t row_bytes) {
+  return sizeof(Entry) + kNodeOverhead + snapshot_bytes + row_bytes;
 }
 
 QueryCache::Shard& QueryCache::ShardFor(const Key& key) {
@@ -148,94 +194,84 @@ void QueryCache::AccountBytesDelta(std::ptrdiff_t delta) {
   Metrics().bytes->Update(static_cast<double>(now));
 }
 
-void QueryCache::Insert(const Key& key, Entry entry) {
-  const bool is_wavefront = entry.snapshot != nullptr;
-  if (entry.bytes > shard_budget_) {
-    // Would evict an entire shard and still not fit; refuse and count it
-    // as an eviction so the refusal is visible.
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    (is_wavefront ? Metrics().wavefront_evictions : Metrics().memo_evictions)
-        ->Inc();
-    return;
+QueryCache::Entry* QueryCache::FindLive(Shard& shard, const Key& key,
+                                        std::uint64_t layout_epoch,
+                                        Dropped* dropped) {
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return nullptr;
+  const LruList::iterator entry = it->second;
+  if (entry->layout_epoch != layout_epoch) {
+    // Built against another data epoch: the snapshot's node state and the
+    // row's distances belong to a world that is gone. Drop both.
+    Drop(shard, entry, dropped);
+    return nullptr;
   }
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry);
+  return &*entry;
+}
 
-  Shard& shard = ShardFor(key);
-  std::ptrdiff_t delta = 0;
-  std::uint64_t evicted_wavefronts = 0;
-  std::uint64_t evicted_memos = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      delta -= static_cast<std::ptrdiff_t>(it->second->bytes);
-      shard.bytes -= it->second->bytes;
-      shard.lru.erase(it->second);
-      shard.map.erase(it);
+QueryCache::Entry& QueryCache::Create(Shard& shard, const Key& key,
+                                      std::uint64_t layout_epoch) {
+  shard.lru.emplace_front();
+  Entry& entry = shard.lru.front();
+  entry.key = key;
+  entry.layout_epoch = layout_epoch;
+  shard.map.emplace(key, shard.lru.begin());
+  return entry;
+}
+
+void QueryCache::Drop(Shard& shard, LruList::iterator it, Dropped* dropped) {
+  shard.map.erase(it->key);
+  shard.bytes -= it->bytes;
+  dropped->bytes_delta -= static_cast<std::ptrdiff_t>(it->bytes);
+  if (it->snapshot != nullptr) ++dropped->wavefronts;
+  if (it->memo.size() > 0) ++dropped->memo_rows;
+  dropped->entries.splice(dropped->entries.end(), shard.lru, it);
+}
+
+void QueryCache::Recharge(Shard& shard, Entry& entry, Dropped* dropped) {
+  const std::size_t now = EntryBytes(
+      entry.snapshot != nullptr ? entry.snapshot->bytes() : 0,
+      entry.memo.bytes());
+  shard.bytes = shard.bytes - entry.bytes + now;
+  dropped->bytes_delta += static_cast<std::ptrdiff_t>(now) -
+                          static_cast<std::ptrdiff_t>(entry.bytes);
+  entry.bytes = now;
+  // `entry` is at the front, so the back is never it while size > 1.
+  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
+    Drop(shard, std::prev(shard.lru.end()), dropped);
+  }
+}
+
+void QueryCache::Publish(const Dropped& dropped) {
+  const std::uint64_t evicted = dropped.entries.size() + dropped.refused;
+  if (evicted > 0) {
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    if (dropped.wavefronts > 0) {
+      Metrics().wavefront_evictions->Inc(dropped.wavefronts);
     }
-    delta += static_cast<std::ptrdiff_t>(entry.bytes);
-    shard.bytes += entry.bytes;
-    shard.lru.push_front(std::move(entry));
-    shard.map.emplace(key, shard.lru.begin());
-
-    while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-      const Entry& victim = shard.lru.back();
-      delta -= static_cast<std::ptrdiff_t>(victim.bytes);
-      shard.bytes -= victim.bytes;
-      if (victim.snapshot != nullptr) {
-        ++evicted_wavefronts;
-      } else {
-        ++evicted_memos;
-      }
-      shard.map.erase(victim.key);
-      shard.lru.pop_back();
+    if (dropped.memo_rows > 0) {
+      Metrics().memo_evictions->Inc(dropped.memo_rows);
     }
   }
-
-  (is_wavefront ? wavefront_inserts_ : memo_inserts_)
-      .fetch_add(1, std::memory_order_relaxed);
-  (is_wavefront ? Metrics().wavefront_inserts : Metrics().memo_inserts)
-      ->Inc();
-  if (evicted_wavefronts + evicted_memos > 0) {
-    evictions_.fetch_add(evicted_wavefronts + evicted_memos,
-                         std::memory_order_relaxed);
-    if (evicted_wavefronts > 0) {
-      Metrics().wavefront_evictions->Inc(evicted_wavefronts);
-    }
-    if (evicted_memos > 0) Metrics().memo_evictions->Inc(evicted_memos);
-  }
-  if (delta != 0) AccountBytesDelta(delta);
+  if (dropped.bytes_delta != 0) AccountBytesDelta(dropped.bytes_delta);
 }
 
 QueryCache::WavefrontPtr QueryCache::FindWavefront(const Location& source,
                                                    std::uint64_t layout_epoch) {
   // Detail span (head-sampled queries only): shard lock + LRU touch.
   obs::Span probe_span = obs::DetailSpan("cache.wavefront_probe");
-  const Key key = Canonical(source, kInvalidObject);
+  const Key key = Canonical(source);
   Shard& shard = ShardFor(key);
   WavefrontPtr snapshot;
-  bool dropped_stale = false;
+  Dropped dropped;  // freed after the lock is released
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (it->second->layout_epoch == layout_epoch) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        snapshot = it->second->snapshot;
-      } else {
-        // Stale layout: the snapshot's node numbering no longer matches
-        // the pager. Miss, and drop the entry so it can't linger.
-        shard.bytes -= it->second->bytes;
-        AccountBytesDelta(-static_cast<std::ptrdiff_t>(it->second->bytes));
-        shard.lru.erase(it->second);
-        shard.map.erase(it);
-        dropped_stale = true;
-      }
+    if (const Entry* entry = FindLive(shard, key, layout_epoch, &dropped)) {
+      snapshot = entry->snapshot;
     }
   }
-  if (dropped_stale) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wavefront_evictions->Inc();
-  }
+  Publish(dropped);
   if (snapshot != nullptr) {
     wavefront_hits_.fetch_add(1, std::memory_order_relaxed);
     Metrics().wavefront_hits->Inc();
@@ -251,14 +287,35 @@ QueryCache::WavefrontPtr QueryCache::FindWavefront(const Location& source,
 void QueryCache::StoreWavefront(const Location& source,
                                 NetworkNnStream::Snapshot snapshot,
                                 std::uint64_t layout_epoch) {
-  Entry entry;
-  entry.key = Canonical(source, kInvalidObject);
-  entry.snapshot = std::make_shared<const NetworkNnStream::Snapshot>(
+  const Key key = Canonical(source);
+  WavefrontPtr stored = std::make_shared<const NetworkNnStream::Snapshot>(
       std::move(snapshot));
-  entry.bytes = entry.snapshot->bytes() + kEntryOverhead;
-  entry.layout_epoch = layout_epoch;
-  const Key key = entry.key;
-  Insert(key, std::move(entry));
+  const std::size_t snapshot_bytes = stored->bytes();
+  Shard& shard = ShardFor(key);
+  WavefrontPtr replaced;
+  Dropped dropped;  // freed, with `replaced`, after the lock is released
+  bool inserted = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    Entry* entry = FindLive(shard, key, layout_epoch, &dropped);
+    const std::size_t row_bytes = entry != nullptr ? entry->memo.bytes() : 0;
+    if (EntryBytes(snapshot_bytes, row_bytes) > shard_budget_) {
+      // Would evict the whole shard and still not fit: refuse.
+      ++dropped.refused;
+      ++dropped.wavefronts;
+    } else {
+      if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
+      replaced = std::move(entry->snapshot);
+      entry->snapshot = std::move(stored);
+      Recharge(shard, *entry, &dropped);
+      inserted = true;
+    }
+  }
+  Publish(dropped);
+  if (inserted) {
+    wavefront_inserts_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().wavefront_inserts->Inc();
+  }
 }
 
 std::optional<Dist> QueryCache::FindDistance(const Location& source,
@@ -266,30 +323,19 @@ std::optional<Dist> QueryCache::FindDistance(const Location& source,
                                              std::uint64_t layout_epoch) {
   obs::Span probe_span = obs::DetailSpan("cache.memo_probe");
   MSQ_CHECK(object != kInvalidObject);
-  const Key key = Canonical(source, object);
+  const Key key = Canonical(source);
   Shard& shard = ShardFor(key);
   std::optional<Dist> found;
-  bool dropped_stale = false;
+  Dropped dropped;  // freed after the lock is released
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (it->second->layout_epoch == layout_epoch) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        found = it->second->dist;
-      } else {
-        shard.bytes -= it->second->bytes;
-        AccountBytesDelta(-static_cast<std::ptrdiff_t>(it->second->bytes));
-        shard.lru.erase(it->second);
-        shard.map.erase(it);
-        dropped_stale = true;
+    if (Entry* entry = FindLive(shard, key, layout_epoch, &dropped)) {
+      if (const MemoRow::Slot* slot = entry->memo.Find(object)) {
+        found = slot->dist;
       }
     }
   }
-  if (dropped_stale) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().memo_evictions->Inc();
-  }
+  Publish(dropped);
   if (found.has_value()) {
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
     Metrics().memo_hits->Inc();
@@ -305,23 +351,56 @@ std::optional<Dist> QueryCache::FindDistance(const Location& source,
 void QueryCache::StoreDistance(const Location& source, ObjectId object,
                                Dist dist, std::uint64_t layout_epoch) {
   MSQ_CHECK(object != kInvalidObject);
-  Entry entry;
-  entry.key = Canonical(source, object);
-  entry.dist = dist;
-  entry.bytes = sizeof(Entry) + kEntryOverhead;
-  entry.layout_epoch = layout_epoch;
-  const Key key = entry.key;
-  Insert(key, std::move(entry));
+  const Key key = Canonical(source);
+  Shard& shard = ShardFor(key);
+  Dropped dropped;  // freed after the lock is released
+  bool inserted = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    Entry* entry = FindLive(shard, key, layout_epoch, &dropped);
+    MemoRow::Slot* slot =
+        entry != nullptr ? entry->memo.Find(object) : nullptr;
+    if (slot != nullptr) {
+      slot->dist = dist;
+      inserted = true;
+    } else {
+      const std::size_t capacity = entry != nullptr
+                                       ? entry->memo.CapacityForOneMore()
+                                       : kMinRowCapacity;
+      const std::size_t row_bytes = capacity * sizeof(MemoRow::Slot);
+      const std::size_t needed =
+          entry != nullptr ? entry->bytes - entry->memo.bytes() + row_bytes
+                           : EntryBytes(0, row_bytes);
+      if (needed > shard_budget_) {
+        // The row cannot double inside one shard: refuse, keep the row.
+        ++dropped.refused;
+        ++dropped.memo_rows;
+      } else {
+        if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
+        const bool grows = capacity != entry->memo.capacity();
+        if (grows) entry->memo.Grow(capacity);
+        entry->memo.Add(object, dist);
+        if (grows) Recharge(shard, *entry, &dropped);
+        inserted = true;
+      }
+    }
+  }
+  Publish(dropped);
+  if (inserted) {
+    memo_inserts_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().memo_inserts->Inc();
+  }
 }
 
 void QueryCache::Invalidate() {
   std::ptrdiff_t delta = 0;
+  LruList discarded;  // freed after every shard lock is released
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     delta -= static_cast<std::ptrdiff_t>(shard->bytes);
     shard->bytes = 0;
     shard->map.clear();
-    shard->lru.clear();
+    discarded.splice(discarded.end(), shard->lru);
   }
   epoch_.fetch_add(1, std::memory_order_relaxed);
   invalidations_.fetch_add(1, std::memory_order_relaxed);

@@ -1,8 +1,8 @@
 // Cross-query reuse layer (DESIGN.md §11).
 //
-// Two tiers, one byte budget:
+// One entry per query source, two tiers inside it, one byte budget:
 //
-//  * Wavefront snapshots — when a query finishes, the per-source
+//  * Wavefront snapshot — when a query finishes, the per-source
 //    NetworkNnStream (CE's expansion engine) is checkpointed: settled
 //    labels, frontier heap, per-object distance estimates. A later query
 //    from the same source resumes the stream instead of re-expanding from
@@ -10,21 +10,26 @@
 //    shared_ptr<const Snapshot>, so a reader keeps its copy alive across
 //    eviction or invalidation.
 //
-//  * Distance memo — exact (source Location, ObjectId) -> Dist pairs
+//  * Memo row — exact ObjectId -> Dist distances from the entry's source,
 //    harvested from settled searches (CE emissions, EDC/LBC probe
-//    completions). Consulted before any expansion; a memo hit costs zero
-//    page accesses.
+//    completions) into an open-addressed flat table that grows by
+//    doubling. Consulted before any expansion; a memo hit costs zero page
+//    accesses, and a store allocates nothing unless the row doubles.
 //
 // A partially expanded wavefront still helps queries it cannot answer
 // exactly: ProbeCheckpoint derives an admissible network-distance lower
 // bound from the settled labels and the frontier radius, tightening the
 // Euclidean/landmark bounds LBC screens with.
 //
-// Concurrency: lock-striped like BufferManager — the key hash picks a
+// Concurrency: lock-striped like BufferManager — the source hash picks a
 // shard, each shard serializes its map + LRU list under its own mutex.
-// Eviction is LRU by bytes within each shard (budget / shard_count each).
-// Invalidate() empties every shard and bumps the epoch; callers that
-// swapped the dataset must call it before reusing the cache.
+// Eviction is LRU by bytes within each shard (budget / shard_count each),
+// at source grain: an entry's bytes are its snapshot plus its row's slot
+// capacity, and the victim goes with both. A store that would push its own
+// entry past the shard budget (an oversized snapshot, a row doubling
+// beyond it) is refused and counted as an eviction. Invalidate() empties
+// every shard and bumps the epoch; callers that swapped the dataset must
+// call it before reusing the cache.
 //
 // Counting discipline: hits and misses are a DISTINCT access class,
 // reported through cache.* metrics and ThreadCounters — never folded into
@@ -51,7 +56,7 @@ namespace msq {
 struct QueryCacheConfig {
   // Total byte budget across both tiers and all shards.
   std::size_t max_bytes = 64u << 20;
-  // Lock stripes. Keys map to shards by hash; each shard owns
+  // Lock stripes. Sources map to shards by hash; each shard owns
   // max_bytes / shard_count.
   std::size_t shard_count = 8;
 };
@@ -87,19 +92,21 @@ class QueryCache {
 
   explicit QueryCache(QueryCacheConfig config = QueryCacheConfig{});
 
-  // Every entry is stamped with the GraphPager data epoch it was built
-  // against (`layout_epoch` parameters below; see
+  // Every source entry is stamped with the GraphPager data epoch it was
+  // built against (`layout_epoch` parameters below; see
   // GraphPager::data_epoch(), which starts at layout_epoch() and advances
   // past every committed mutation). A Find under a different epoch treats
-  // the entry as a miss AND drops it. Wavefront snapshots hold node-indexed
-  // state (settled bitmaps, frontier heaps), so resuming one against a
-  // renumbered graph — or against a graph whose edge weights or resident
-  // objects changed — would be silent corruption; its size even matches.
-  // Distance memos are edge-keyed and would survive a pure relabel, but
-  // they are stamped under the same rule: an epoch change marks "the world
-  // the entry was computed in is gone", and one invalidation rule for both
-  // tiers is the safe one. The default 0 keeps single-layout callers
-  // (tests, direct use without a pager) on one consistent namespace.
+  // the entry as a miss AND drops it, snapshot and memo row together; a
+  // Store under a different epoch drops it and starts a fresh one.
+  // Wavefront snapshots hold node-indexed state (settled bitmaps, frontier
+  // heaps), so resuming one against a renumbered graph — or against a
+  // graph whose edge weights or resident objects changed — would be silent
+  // corruption; its size even matches. Memo distances are edge-keyed and
+  // would survive a pure relabel, but they share the entry's stamp: an
+  // epoch change marks "the world the entry was computed in is gone", and
+  // one invalidation rule for both tiers is the safe one. The default 0
+  // keeps single-layout callers (tests, direct use without a pager) on one
+  // consistent namespace.
 
   // --- Wavefront tier ---------------------------------------------------
 
@@ -108,8 +115,9 @@ class QueryCache {
   WavefrontPtr FindWavefront(const Location& source,
                              std::uint64_t layout_epoch = 0);
 
-  // Stores (or replaces) the snapshot for `source`. A snapshot larger than
-  // one shard's budget is rejected and counted as an eviction.
+  // Stores (or replaces) the snapshot for `source`, keeping its memo row.
+  // A store that would take the source's entry past one shard's budget is
+  // rejected and counted as an eviction.
   void StoreWavefront(const Location& source,
                       NetworkNnStream::Snapshot snapshot,
                       std::uint64_t layout_epoch = 0);
@@ -122,6 +130,8 @@ class QueryCache {
                                    std::uint64_t layout_epoch = 0);
 
   // Memoizes an EXACT network distance. Callers must never store bounds.
+  // A store that would double the source's row past one shard's budget is
+  // rejected and counted as an eviction.
   void StoreDistance(const Location& source, ObjectId object, Dist dist,
                      std::uint64_t layout_epoch = 0);
 
@@ -156,29 +166,53 @@ class QueryCache {
   const QueryCacheConfig& config() const { return config_; }
 
  private:
-  // One key namespace for both tiers: memo entries carry the object id,
-  // wavefront entries use kInvalidObject. Offsets are compared bit-for-bit
-  // after normalizing -0.0, the cache's source canonicalization.
+  // A source, canonicalized: offsets are compared bit-for-bit after
+  // normalizing -0.0.
   struct Key {
     EdgeId edge = 0;
     Dist offset = 0;
-    ObjectId object = kInvalidObject;
 
     bool operator==(const Key& other) const {
-      return edge == other.edge && offset == other.offset &&
-             object == other.object;
+      return edge == other.edge && offset == other.offset;
     }
   };
   struct KeyHash {
     std::size_t operator()(const Key& key) const;
   };
 
+  // Open-addressed ObjectId -> Dist table with linear probing. The slot
+  // count is 0 or a power of two; empty slots hold kInvalidObject.
+  class MemoRow {
+   public:
+    struct Slot {
+      ObjectId object = kInvalidObject;
+      Dist dist = 0;
+    };
+
+    // The slot holding `object`, or null.
+    Slot* Find(ObjectId object);
+    // Slot count the row needs to take one more object.
+    std::size_t CapacityForOneMore() const;
+    // Rehashes into `capacity` slots (a power of two above size()).
+    void Grow(std::size_t capacity);
+    // Adds an absent object; the row must have room for it.
+    void Add(ObjectId object, Dist dist);
+
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return slots_.size(); }
+    std::size_t bytes() const { return slots_.size() * sizeof(Slot); }
+
+   private:
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
   struct Entry {
     Key key;
-    WavefrontPtr snapshot;  // null for memo entries
-    Dist dist = 0;          // memo value
-    std::size_t bytes = 0;
-    std::uint64_t layout_epoch = 0;  // pager layout the entry was built on
+    WavefrontPtr snapshot;  // null until a wavefront is stored
+    MemoRow memo;
+    std::size_t bytes = 0;           // as last charged to the shard
+    std::uint64_t layout_epoch = 0;  // data epoch the entry was built on
   };
 
   // front = most recently used.
@@ -191,11 +225,34 @@ class QueryCache {
     std::size_t bytes = 0;
   };
 
-  static Key Canonical(const Location& source, ObjectId object);
+  // What one call dropped or refused under a shard lock: published (and
+  // the dropped entries freed) after the lock is released.
+  struct Dropped {
+    LruList entries;
+    std::uint64_t refused = 0;     // stores refused by the budget
+    std::uint64_t wavefronts = 0;  // snapshots dropped or refused
+    std::uint64_t memo_rows = 0;   // non-empty rows dropped, memos refused
+    std::ptrdiff_t bytes_delta = 0;
+  };
+
+  static Key Canonical(const Location& source);
+  // Bytes an entry holding `snapshot_bytes` and `row_bytes` is charged.
+  static std::size_t EntryBytes(std::size_t snapshot_bytes,
+                                std::size_t row_bytes);
   Shard& ShardFor(const Key& key);
-  // Inserts/replaces under the shard lock, then evicts LRU entries until
-  // the shard fits its budget slice.
-  void Insert(const Key& key, Entry entry);
+  // The live entry for `key`, moved to the LRU front, or null. An entry
+  // stamped with another epoch is dropped and reads as absent.
+  Entry* FindLive(Shard& shard, const Key& key, std::uint64_t layout_epoch,
+                  Dropped* dropped);
+  // A fresh, empty entry for `key` at the LRU front.
+  Entry& Create(Shard& shard, const Key& key, std::uint64_t layout_epoch);
+  // Unlinks `it` from the shard into `dropped`.
+  void Drop(Shard& shard, LruList::iterator it, Dropped* dropped);
+  // Re-charges `entry` (at the LRU front) after it grew or shrank, then
+  // evicts from the LRU back until the shard fits its budget slice.
+  void Recharge(Shard& shard, Entry& entry, Dropped* dropped);
+  // Counts what `dropped` recorded; call after releasing the shard lock.
+  void Publish(const Dropped& dropped);
   void AccountBytesDelta(std::ptrdiff_t delta);
 
   const QueryCacheConfig config_;

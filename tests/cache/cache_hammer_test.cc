@@ -1,12 +1,17 @@
 // Cache under concurrency: eight workers sharing one QueryCache must
 // produce byte-identical results to sequential cacheless runs, the
 // instance-level cache stats must conserve exactly against the per-query
-// QueryStats sums, and Invalidate racing live queries must stay safe.
+// QueryStats sums, Invalidate racing live queries must stay safe, and
+// threads growing the same sources' memo rows while the data epoch moves
+// must only ever read what was stored under their own epoch.
 // Runs under TSan in CI (tools/check.sh matches "Cache").
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +20,7 @@
 #include "core/skyline_query.h"
 #include "exec/query_executor.h"
 #include "gen/workloads.h"
+#include "graph/nn_stream.h"
 #include "testing_support.h"
 
 namespace msq {
@@ -141,6 +147,88 @@ TEST(CacheHammerTest, InvalidateRacingQueriesKeepsResultsExact) {
     }
   }
   EXPECT_GE(executor.cache()->epoch(), 3u);
+}
+
+TEST(CacheHammerTest, SharedSourcesUnderMovingEpochReadOnlyTheirEpoch) {
+  auto workload = SharedWorkload();
+  const Dataset dataset = workload->dataset();
+  const std::vector<Location> sources = workload->SampleQuery(3, 17).sources;
+  // One snapshot per source, each settled to a different depth so a find
+  // can tell which source's snapshot it got.
+  std::vector<NetworkNnStream::Snapshot> snapshots;
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    NetworkNnStream stream(dataset.graph_pager, dataset.mapping, sources[s]);
+    for (std::size_t i = 0; i <= 4 * s; ++i) stream.Next();
+    snapshots.push_back(stream.MakeSnapshot());
+  }
+
+  QueryCacheConfig config;
+  config.shard_count = 2;
+  QueryCache cache(config);
+  // The distance stored for (source, object) under an epoch: unique per
+  // triple, so a value leaking across epochs or sources is caught.
+  auto value = [](std::size_t s, ObjectId object, std::uint64_t epoch) {
+    return static_cast<Dist>(epoch * 1000000 + s * 10000 + object);
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kOps = 6000;
+  std::atomic<std::uint64_t> epoch{0};
+  std::atomic<std::uint64_t> wrong_values{0};
+  std::atomic<std::uint64_t> wrong_snapshots{0};
+  std::atomic<std::uint64_t> memo_finds{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOps; ++i) {
+        if (t == 0 && i % 400 == 399) epoch.fetch_add(1);
+        const std::uint64_t e = epoch.load();
+        const std::size_t s = static_cast<std::size_t>(i + t) % sources.size();
+        // Objects spread so every source's row doubles several times per
+        // epoch, with threads racing on the same rows.
+        const ObjectId object = static_cast<ObjectId>((i * 7 + t) % 700);
+        switch (i % 8) {
+          case 0:
+          case 1:
+          case 2:
+            cache.StoreDistance(sources[s], object, value(s, object, e), e);
+            break;
+          case 7:
+            if (i % 64 == 7) {
+              cache.StoreWavefront(sources[s], snapshots[s], e);
+              break;
+            }
+            if (const QueryCache::WavefrontPtr found =
+                    cache.FindWavefront(sources[s], e)) {
+              if (found->search.settled_count !=
+                  snapshots[s].search.settled_count) {
+                wrong_snapshots.fetch_add(1);
+              }
+            }
+            break;
+          default:
+            memo_finds.fetch_add(1);
+            if (const std::optional<Dist> found =
+                    cache.FindDistance(sources[s], object, e)) {
+              if (*found != value(s, object, e)) wrong_values.fetch_add(1);
+            }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong_values.load(), 0u);
+  EXPECT_EQ(wrong_snapshots.load(), 0u);
+  const QueryCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.memo_hits + stats.memo_misses, memo_finds.load());
+  EXPECT_GT(stats.memo_hits, 0u);
+  EXPECT_GT(stats.wavefront_hits, 0u);
+  EXPECT_LE(cache.bytes(), config.max_bytes);
+  // Byte accounting stayed exact under contention: emptying every shard
+  // returns the global total to zero.
+  cache.Invalidate();
+  EXPECT_EQ(cache.bytes(), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// QueryCache unit tests: both tiers' round trips, LRU-by-bytes eviction,
+// QueryCache unit tests: both tiers' round trips, LRU-by-bytes eviction at
+// source grain, the epoch and budget refusal rules, memo-row growth,
 // invalidation, key canonicalization, checkpoint probing math, and the
 // cache.* counter discipline (instance stats + per-thread counters).
 #include "cache/query_cache.h"
@@ -37,8 +38,8 @@ struct StreamFixture {
   SpatialMapping mapping;
 };
 
-// Bytes one memo entry occupies — probed, because the accounting constant
-// is private to the implementation.
+// Bytes one source entry holding a single memo distance occupies — probed,
+// because the accounting constants are private to the implementation.
 std::size_t MemoEntryBytes() {
   QueryCache probe;
   probe.StoreDistance(Location{0, 0.0}, 0, 1.0);
@@ -181,23 +182,24 @@ TEST(QueryCacheTest, LruEvictionRespectsByteBudget) {
   const std::size_t entry = MemoEntryBytes();
   QueryCacheConfig config;
   config.shard_count = 1;
-  config.max_bytes = entry * 3 + entry / 2;  // room for exactly 3 entries
+  config.max_bytes = entry * 3 + entry / 2;  // room for exactly 3 sources
   QueryCache cache(config);
 
-  const Location source{0, 0.0};
-  for (ObjectId id = 0; id < 10; ++id) {
-    cache.StoreDistance(source, id, static_cast<Dist>(id));
+  // One distance on each of ten sources: ten equal-sized entries.
+  for (EdgeId edge = 0; edge < 10; ++edge) {
+    cache.StoreDistance(Location{edge, 0.0}, 1, static_cast<Dist>(edge));
   }
   EXPECT_LE(cache.bytes(), config.max_bytes);
+  EXPECT_EQ(cache.bytes(), 3 * entry);
   EXPECT_EQ(cache.stats().evictions, 7u);
   EXPECT_EQ(cache.stats().memo_inserts, 10u);
 
-  // The three most recent entries survive; the oldest were evicted.
-  EXPECT_TRUE(cache.FindDistance(source, 9).has_value());
-  EXPECT_TRUE(cache.FindDistance(source, 8).has_value());
-  EXPECT_TRUE(cache.FindDistance(source, 7).has_value());
-  EXPECT_FALSE(cache.FindDistance(source, 0).has_value());
-  EXPECT_FALSE(cache.FindDistance(source, 6).has_value());
+  // The three most recent sources survive; the oldest were the victims.
+  EXPECT_TRUE(cache.FindDistance(Location{9, 0.0}, 1).has_value());
+  EXPECT_TRUE(cache.FindDistance(Location{8, 0.0}, 1).has_value());
+  EXPECT_TRUE(cache.FindDistance(Location{7, 0.0}, 1).has_value());
+  EXPECT_FALSE(cache.FindDistance(Location{0, 0.0}, 1).has_value());
+  EXPECT_FALSE(cache.FindDistance(Location{6, 0.0}, 1).has_value());
 }
 
 TEST(QueryCacheTest, FindRefreshesLruRecency) {
@@ -207,19 +209,151 @@ TEST(QueryCacheTest, FindRefreshesLruRecency) {
   config.max_bytes = entry * 3;
   QueryCache cache(config);
 
-  const Location source{0, 0.0};
-  cache.StoreDistance(source, 0, 0.0);
-  cache.StoreDistance(source, 1, 1.0);
-  cache.StoreDistance(source, 2, 2.0);
-  // Touch the oldest entry, then overflow: the untouched middle entry is
+  const Location a{0, 0.0}, b{1, 0.0}, c{2, 0.0}, d{3, 0.0};
+  cache.StoreDistance(a, 0, 0.0);
+  cache.StoreDistance(b, 0, 1.0);
+  cache.StoreDistance(c, 0, 2.0);
+  // Touch the oldest source, then overflow: the untouched middle source is
   // now least-recently used and must be the victim.
-  ASSERT_TRUE(cache.FindDistance(source, 0).has_value());
-  cache.StoreDistance(source, 3, 3.0);
+  ASSERT_TRUE(cache.FindDistance(a, 0).has_value());
+  cache.StoreDistance(d, 0, 3.0);
 
-  EXPECT_TRUE(cache.FindDistance(source, 0).has_value());
+  EXPECT_TRUE(cache.FindDistance(a, 0).has_value());
+  EXPECT_FALSE(cache.FindDistance(b, 0).has_value());
+  EXPECT_TRUE(cache.FindDistance(c, 0).has_value());
+  EXPECT_TRUE(cache.FindDistance(d, 0).has_value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(QueryCacheTest, StaleEpochFindDropsSnapshotAndRowTogether) {
+  StreamFixture f(testing::MakeGridNetwork(4),
+                  {Location{0, 0.0}, Location{5, 0.0}});
+  const Location source{0, 0.0};
+  NetworkNnStream stream(&f.pager, &f.mapping, source);
+  stream.Next();
+  const NetworkNnStream::Snapshot snapshot = stream.MakeSnapshot();
+
+  // Through either tier, a find under a newer epoch drops the whole source
+  // entry: the other tier misses afterwards even under the old epoch.
+  for (const bool via_memo : {true, false}) {
+    SCOPED_TRACE(via_memo ? "memo find" : "wavefront find");
+    QueryCache cache;
+    cache.StoreWavefront(source, snapshot, /*layout_epoch=*/4);
+    cache.StoreDistance(source, 1, 0.5, /*layout_epoch=*/4);
+    ASSERT_GT(cache.bytes(), 0u);
+
+    if (via_memo) {
+      EXPECT_FALSE(cache.FindDistance(source, 1, 5).has_value());
+    } else {
+      EXPECT_EQ(cache.FindWavefront(source, 5), nullptr);
+    }
+    EXPECT_EQ(cache.bytes(), 0u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.FindWavefront(source, 4), nullptr);
+    EXPECT_FALSE(cache.FindDistance(source, 1, 4).has_value());
+    EXPECT_EQ(cache.stats().evictions, 1u);
+  }
+}
+
+TEST(QueryCacheTest, ReplacingSnapshotKeepsMemoRow) {
+  RoadNetwork network = GenerateNetwork({.node_count = 120,
+                                         .edge_count = 170,
+                                         .seed = 51});
+  auto objects = GenerateObjects(network, 25, 13);
+  StreamFixture f(std::move(network), objects);
+  const Location source{1, 0.0};
+  NetworkNnStream stream(&f.pager, &f.mapping, source);
+
+  QueryCache cache;
+  stream.Next();
+  NetworkNnStream::Snapshot first = stream.MakeSnapshot();
+  const std::size_t first_bytes = first.bytes();
+  cache.StoreWavefront(source, std::move(first));
+  for (ObjectId id = 0; id < 5; ++id) {
+    cache.StoreDistance(source, id, static_cast<Dist>(id) + 0.5);
+  }
+  const std::size_t bytes_before = cache.bytes();
+
+  while (stream.Next()) {
+  }
+  NetworkNnStream::Snapshot second = stream.MakeSnapshot();
+  const std::size_t second_bytes = second.bytes();
+  const std::size_t second_settled = second.search.settled_count;
+  cache.StoreWavefront(source, std::move(second));
+
+  // The entry swapped its snapshot and nothing else.
+  EXPECT_EQ(cache.bytes(), bytes_before - first_bytes + second_bytes);
+  const QueryCache::WavefrontPtr held = cache.FindWavefront(source);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->search.settled_count, second_settled);
+  for (ObjectId id = 0; id < 5; ++id) {
+    const auto found = cache.FindDistance(source, id);
+    ASSERT_TRUE(found.has_value()) << "object " << id;
+    EXPECT_EQ(*found, static_cast<Dist>(id) + 0.5);
+  }
+  EXPECT_EQ(cache.stats().wavefront_inserts, 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(QueryCacheTest, GrownRowReturnsEveryByteOnInvalidate) {
+  QueryCache cache;
+  const Location source{4, 0.125};
+  // A thousand objects take the row through several doublings; the bytes
+  // change only when it doubles.
+  std::vector<std::size_t> sizes;
+  for (ObjectId id = 0; id < 1000; ++id) {
+    cache.StoreDistance(source, id * 7919, static_cast<Dist>(id));
+    if (sizes.empty() || sizes.back() != cache.bytes()) {
+      ASSERT_TRUE(sizes.empty() || cache.bytes() > sizes.back());
+      sizes.push_back(cache.bytes());
+    }
+  }
+  EXPECT_GE(sizes.size(), 5u);
+  EXPECT_LE(sizes.size(), 12u);
+  for (ObjectId id = 0; id < 1000; ++id) {
+    const auto found = cache.FindDistance(source, id * 7919);
+    ASSERT_TRUE(found.has_value()) << "object " << id * 7919;
+    EXPECT_EQ(*found, static_cast<Dist>(id));
+  }
   EXPECT_FALSE(cache.FindDistance(source, 1).has_value());
-  EXPECT_TRUE(cache.FindDistance(source, 2).has_value());
-  EXPECT_TRUE(cache.FindDistance(source, 3).has_value());
+  EXPECT_EQ(cache.stats().memo_inserts, 1000u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  cache.Invalidate();
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_FALSE(cache.FindDistance(source, 0).has_value());
+}
+
+TEST(QueryCacheTest, MemoStoreOverflowingShardBudgetIsRefused) {
+  QueryCacheConfig config;
+  config.shard_count = 1;
+  config.max_bytes = MemoEntryBytes();  // one source, first row size only
+  QueryCache cache(config);
+  const Location source{2, 0.75};
+
+  // Fill the row until it would have to double past the shard budget.
+  ObjectId refused = kInvalidObject;
+  std::size_t bytes_before = 0;
+  for (ObjectId id = 0; id < 1000 && refused == kInvalidObject; ++id) {
+    bytes_before = cache.bytes();
+    cache.StoreDistance(source, id, static_cast<Dist>(id));
+    if (cache.stats().evictions > 0) refused = id;
+  }
+  ASSERT_NE(refused, kInvalidObject);
+  ASSERT_GT(refused, 0u);
+
+  // The refusal is counted, charges nothing, and keeps the row intact.
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().memo_inserts, refused);
+  EXPECT_EQ(cache.bytes(), bytes_before);
+  EXPECT_LE(cache.bytes(), config.max_bytes);
+  EXPECT_FALSE(cache.FindDistance(source, refused).has_value());
+  for (ObjectId id = 0; id < refused; ++id) {
+    EXPECT_TRUE(cache.FindDistance(source, id).has_value()) << "object " << id;
+  }
+  // Re-storing a resident object needs no growth and is accepted.
+  cache.StoreDistance(source, 0, 0.0);
+  EXPECT_EQ(cache.stats().memo_inserts, refused + 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
