@@ -8,10 +8,13 @@
 // but computing it directly is much cheaper: the radius caps the search
 // region of every wavefront and plb probe.
 //
-// The LBC-style variant gets the constraint almost for free from the path
-// distance lower bound: a candidate is discarded the moment any plb
-// exceeds the radius, and R-tree subtrees farther (even in Euclidean
-// distance) than the radius from some query point are never fetched.
+// The LBC variant is LBC with a radius (RunLbcBody, core/lbc.h), so it
+// shares LBC's screen, cache reuse, QueryLimits and phase spans. The
+// constraint comes almost for free from the path distance lower bounds:
+// a candidate is discarded the moment any bound exceeds the radius, a
+// source candidate farther than the radius is dropped, and R-tree subtrees
+// farther (even in Euclidean distance) than the radius from some query
+// point are never fetched.
 #ifndef MSQ_CORE_CONSTRAINED_H_
 #define MSQ_CORE_CONSTRAINED_H_
 
@@ -24,8 +27,9 @@ SkylineResult RunConstrainedSkylineNaive(const Dataset& dataset,
                                          const SkylineQuerySpec& spec,
                                          Dist radius);
 
-// Exact constrained skyline by LBC-style incremental discovery with
-// plb-based constraint screening.
+// Exact constrained skyline: LBC with a radius. Like RunLbc, a QueryLimits
+// cut-off returns a truncated confirmed prefix and a storage fault a clean
+// error status; an invalid spec or a negative radius aborts.
 SkylineResult RunConstrainedSkylineLbc(const Dataset& dataset,
                                        const SkylineQuerySpec& spec,
                                        Dist radius);

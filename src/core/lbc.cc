@@ -2,212 +2,209 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
-#include <queue>
+#include <utility>
 
-#include "cache/query_cache.h"
 #include "common/check.h"
-#include "graph/astar.h"
 
 namespace msq {
-namespace {
 
-// Candidate buffered in step 1.2 with its exact distance to the source.
-struct SourceCandidate {
-  Dist source_dist;
-  ObjectId object;
-  bool operator>(const SourceCandidate& other) const {
-    return source_dist > other.source_dist;
+LbcDiscovery::LbcDiscovery(const Dataset& dataset,
+                           const SkylineQuerySpec& spec,
+                           bool alternate_sources, Dist radius,
+                           DominatedTest dominated)
+    : dataset_(dataset),
+      spec_(spec),
+      radius_(radius),
+      dominated_(std::move(dominated)),
+      min_attrs_(dataset.MinStaticAttributes()),
+      searches_(spec.sources.size()),
+      wavefronts_(spec.sources.size()),
+      wavefront_radius_(spec.sources.size(), 0.0),
+      optimistic_(spec.sources.size() + dataset.static_dims()),
+      fetched_(dataset.object_count(), 0),
+      resolved_(dataset.object_count(), 0) {
+  const std::size_t n = spec.sources.size();
+  query_points_.reserve(n);
+  for (const Location& source : spec.sources) {
+    query_points_.push_back(dataset.network->LocationPosition(source));
   }
-};
+  if (dataset.cache != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      wavefronts_[i] = dataset.cache->FindWavefront(
+          spec.sources[i], dataset.graph_pager->data_epoch());
+      if (wavefronts_[i] != nullptr) {
+        wavefront_radius_[i] = CheckpointRadius(wavefronts_[i]->search);
+      }
+    }
+  }
+  const bool every_source = alternate_sources && n > 1;
+  streams_.resize(every_source ? n : 1);
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    Stream& stream = streams_[s];
+    stream.source = every_source ? s : spec.lbc_source_index;
+    stream.browser = std::make_unique<RTreeNnBrowser>(
+        dataset.object_rtree, query_points_[stream.source],
+        [this](const RTreeEntry& entry, bool is_leaf) {
+          return Prune(entry, is_leaf);
+        });
+  }
+}
+
+bool LbcDiscovery::Prune(const RTreeEntry& entry, bool is_leaf) {
+  const std::size_t n = query_points_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    optimistic_[i] = entry.mbr.MinDist(query_points_[i]);
+    if (optimistic_[i] > radius_) return true;
+  }
+  if (optimistic_.size() > n) {
+    if (is_leaf) {
+      const DistVector attrs = dataset_.StaticAttributesOf(entry.id);
+      std::copy(attrs.begin(), attrs.end(), optimistic_.begin() + n);
+    } else {
+      std::copy(min_attrs_.begin(), min_attrs_.end(),
+                optimistic_.begin() + n);
+    }
+  }
+  return dominated_(optimistic_);
+}
+
+LbcDiscovery::Candidate LbcDiscovery::Next(std::size_t s) {
+  Stream& stream = streams_[s];
+  for (;;) {
+    while (!stream.exhausted) {
+      // Step 1.2 stop rule: once some buffered candidate's network distance
+      // does not exceed the Euclidean distance of everything not yet
+      // fetched, that candidate precedes every unfetched object (whose
+      // network distance >= its Euclidean distance >= the browser bound).
+      // Checked before fetching so an already-determined network NN never
+      // triggers extra candidate retrieval.
+      if (!stream.heap.empty() &&
+          stream.heap.top().source_dist <= stream.browser->PeekLowerBound()) {
+        break;
+      }
+      const auto item = stream.browser->Next();
+      if (!item.found) {
+        stream.exhausted = true;
+        break;
+      }
+      if (!fetched_[item.id]) {
+        fetched_[item.id] = 1;
+        ++candidate_count_;
+      }
+      if (resolved_[item.id]) continue;  // another stream returned it
+      const Dist d_net = Distance(stream.source, item.id,
+                                  dataset_.mapping->ObjectLocation(item.id));
+      if (std::isfinite(d_net) && d_net <= radius_) {
+        stream.heap.push(Candidate{d_net, item.id, stream.source});
+      }
+    }
+    if (stream.heap.empty()) return Candidate{};
+    const Candidate top = stream.heap.top();
+    stream.heap.pop();
+    if (resolved_[top.object]) continue;  // returned since buffering
+    resolved_[top.object] = 1;
+    return top;
+  }
+}
+
+AStarSearch& LbcDiscovery::search(std::size_t qi) {
+  // Labels are shared across all probes from one query point. With one
+  // query point LBC touches the network only from the source.
+  if (searches_[qi] == nullptr) {
+    searches_[qi] = std::make_unique<AStarSearch>(
+        dataset_.graph_pager, spec_.sources[qi], dataset_.landmarks);
+  }
+  return *searches_[qi];
+}
+
+std::optional<Dist> LbcDiscovery::CachedDistance(std::size_t qi, ObjectId id,
+                                                 const Location& loc) {
+  QueryCache* const cache = dataset_.cache;
+  if (cache == nullptr) return std::nullopt;
+  if (const std::optional<Dist> memo = cache->FindDistance(
+          spec_.sources[qi], id, dataset_.graph_pager->data_epoch())) {
+    if (spec_.plan != nullptr) spec_.plan->RecordMemoHit();
+    return memo;
+  }
+  if (wavefronts_[qi] != nullptr) {
+    const WavefrontProbe probe =
+        ProbeCheckpoint(*dataset_.network, wavefronts_[qi]->search,
+                        wavefront_radius_[qi], spec_.sources[qi], loc);
+    if (probe.exact) {
+      cache->StoreDistance(spec_.sources[qi], id, probe.bound,
+                           dataset_.graph_pager->data_epoch());
+      if (spec_.plan != nullptr) spec_.plan->RecordWavefrontExact();
+      return probe.bound;
+    }
+  }
+  return std::nullopt;
+}
+
+Dist LbcDiscovery::WavefrontBound(std::size_t qi, const Location& loc) const {
+  if (wavefronts_[qi] == nullptr) return 0.0;
+  return ProbeCheckpoint(*dataset_.network, wavefronts_[qi]->search,
+                         wavefront_radius_[qi], spec_.sources[qi], loc)
+      .bound;
+}
+
+Dist LbcDiscovery::Distance(std::size_t qi, ObjectId id, const Location& loc) {
+  if (const std::optional<Dist> cached = CachedDistance(qi, id, loc)) {
+    return *cached;
+  }
+  const Dist dist = search(qi).DistanceTo(loc);
+  Harvest(qi, id, dist);
+  return dist;
+}
+
+void LbcDiscovery::Harvest(std::size_t qi, ObjectId id, Dist dist) {
+  if (spec_.plan != nullptr) spec_.plan->RecordComputed();
+  if (dataset_.cache != nullptr) {
+    dataset_.cache->StoreDistance(spec_.sources[qi], id, dist,
+                                  dataset_.graph_pager->data_epoch());
+  }
+}
+
+void LbcDiscovery::RecordSources() const {
+  if (spec_.plan == nullptr) return;
+  for (std::size_t i = 0; i < searches_.size(); ++i) {
+    const AStarSearch* const search = searches_[i].get();
+    spec_.plan->RecordSource(
+        i, search != nullptr ? search->settled_count() : 0,
+        search != nullptr ? search->max_settled_distance() : 0.0,
+        wavefronts_[i] != nullptr);
+  }
+}
 
 SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
-                         const LbcOptions& options,
-                         const ProgressiveCallback& on_skyline) {
+                         const LbcOptions& options, Dist radius,
+                         const ProgressiveCallback& on_skyline,
+                         std::string_view root_name) {
   obs::TraceSession* const trace = spec.trace;
-  StatsScope scope(dataset, trace, "lbc");
+  StatsScope scope(dataset, trace, root_name);
   SkylineResult result;
   QueryGuard guard(dataset, spec.limits);
 
   const std::size_t n = spec.sources.size();
-  const std::size_t attr_dims = dataset.static_dims();
-  const DistVector min_attrs = dataset.MinStaticAttributes();
-
-  std::vector<Point> query_points;
-  query_points.reserve(n);
-  for (const Location& source : spec.sources) {
-    query_points.push_back(dataset.network->LocationPosition(source));
-  }
-
-  // One reusable A* search per query point (labels shared across all
-  // probes from that query point). Non-source searches are created lazily:
-  // with one query point LBC touches the network only from the source.
-  std::vector<std::unique_ptr<AStarSearch>> searches(n);
-  auto search_for = [&](std::size_t qi) -> AStarSearch& {
-    if (searches[qi] == nullptr) {
-      searches[qi] = std::make_unique<AStarSearch>(
-          dataset.graph_pager, spec.sources[qi], dataset.landmarks);
-    }
-    return *searches[qi];
-  };
-
-  // Cached wavefronts per source (typically left behind by CE runs over
-  // the same query points): exact distances inside the settled region,
-  // admissible lower bounds beyond it.
-  std::vector<QueryCache::WavefrontPtr> wavefronts(n);
-  std::vector<Dist> wavefront_radius(n, 0.0);
-  if (dataset.cache != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      wavefronts[i] = dataset.cache->FindWavefront(
-          spec.sources[i], dataset.graph_pager->data_epoch());
-      if (wavefronts[i] != nullptr) {
-        wavefront_radius[i] = CheckpointRadius(wavefronts[i]->search);
-      }
-    }
-  }
-
-  // Exact cached distance from source `qi` to `id`, if the memo or an
-  // exact wavefront probe can supply one without touching the graph.
-  auto exact_cached = [&](std::size_t qi, ObjectId id,
-                          const Location& loc) -> std::optional<Dist> {
-    QueryCache* const cache = dataset.cache;
-    if (cache == nullptr) return std::nullopt;
-    if (const std::optional<Dist> memo =
-            cache->FindDistance(spec.sources[qi], id,
-                                dataset.graph_pager->data_epoch())) {
-      if (spec.plan != nullptr) spec.plan->RecordMemoHit();
-      return memo;
-    }
-    if (wavefronts[qi] != nullptr) {
-      const WavefrontProbe probe =
-          ProbeCheckpoint(*dataset.network, wavefronts[qi]->search,
-                          wavefront_radius[qi], spec.sources[qi], loc);
-      if (probe.exact) {
-        cache->StoreDistance(spec.sources[qi], id, probe.bound,
-                             dataset.graph_pager->data_epoch());
-        if (spec.plan != nullptr) spec.plan->RecordWavefrontExact();
-        return probe.bound;
-      }
-    }
-    return std::nullopt;
-  };
-
-  // Exact network distance from source `qi` to `id`: cache first, A* only
-  // on a full miss (harvesting the result back into the memo).
-  auto source_distance = [&](std::size_t qi, ObjectId id,
-                             const Location& loc) -> Dist {
-    if (const std::optional<Dist> cached = exact_cached(qi, id, loc)) {
-      return *cached;
-    }
-    const Dist dist = search_for(qi).DistanceTo(loc);
-    if (spec.plan != nullptr) spec.plan->RecordComputed();
-    if (dataset.cache != nullptr) {
-      dataset.cache->StoreDistance(spec.sources[qi], id, dist,
-                                   dataset.graph_pager->data_epoch());
-    }
-    return dist;
-  };
 
   // Reported skyline vectors (network distances + attributes), in report
   // order: row i is result.skyline[i].vector.
-  VectorRows skyline_rows(n + attr_dims);
+  VectorRows skyline_rows(n + dataset.static_dims());
 
-  // Step 1.1's Euclidean NN browser with skyline-dominance pruning: an
-  // entry is skipped when some s in S is at least as good as the entry's
-  // optimistic vector in every dimension and strictly better somewhere.
-  // (The ith attribute of the entry is its *Euclidean* distance to qi while
-  // s carries *network* distances; dE <= dN makes the comparison sound.)
-  DistVector lb(n + attr_dims);  // scratch, rebuilt per entry
-  auto prune = [&](const RTreeEntry& entry, bool is_leaf) {
-    if (skyline_rows.empty()) return false;
-    for (std::size_t i = 0; i < n; ++i) {
-      lb[i] = entry.mbr.MinDist(query_points[i]);
-    }
-    if (attr_dims > 0) {
-      if (is_leaf) {
-        const DistVector attrs = dataset.StaticAttributesOf(entry.id);
-        std::copy(attrs.begin(), attrs.end(), lb.begin() + n);
-      } else {
-        std::copy(min_attrs.begin(), min_attrs.end(), lb.begin() + n);
-      }
-    }
-    return FirstDominator(skyline_rows, lb, kFpTieMargin) <
-           skyline_rows.size();
-  };
-  // Per-source discovery state. Single-source mode (the paper's primary
-  // formulation) uses only spec.lbc_source_index; alternation (§4.3
-  // extension) rotates through all of them.
-  struct Discovery {
-    std::size_t source_dim = 0;
-    std::unique_ptr<RTreeNnBrowser> browser;
-    // Candidates with exact source distance, pending network-NN ordering.
-    std::priority_queue<SourceCandidate, std::vector<SourceCandidate>,
-                        std::greater<>>
-        heap;
-    bool browser_exhausted = false;
-  };
-  std::vector<Discovery> discoveries;
-  if (options.alternate_sources && n > 1) {
-    discoveries.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      discoveries[i].source_dim = i;
-      discoveries[i].browser = std::make_unique<RTreeNnBrowser>(
-          dataset.object_rtree, query_points[i], prune);
-    }
-  } else {
-    discoveries.resize(1);
-    discoveries[0].source_dim = spec.lbc_source_index;
-    discoveries[0].browser = std::make_unique<RTreeNnBrowser>(
-        dataset.object_rtree, query_points[spec.lbc_source_index], prune);
-  }
-
-  // Each distinct object counts once toward |C| even when several sources
-  // fetch it; an object screened through one source is resolved for all.
-  std::vector<std::uint8_t> fetched(dataset.object_count(), 0);
-  std::vector<std::uint8_t> resolved(dataset.object_count(), 0);
-
-  // Step 1: the next network nearest neighbor of a discovery's source in
-  // the not-yet-dominated region. Returns kInvalidObject when none remain.
-  auto next_network_nn = [&](Discovery& d) -> SourceCandidate {
-    for (;;) {
-      while (!d.browser_exhausted) {
-        // Step 1.2 stop rule: once some buffered candidate's network
-        // distance does not exceed the Euclidean distance of everything
-        // not yet fetched, that candidate precedes every unfetched object
-        // (whose network distance >= its Euclidean distance >= the browser
-        // bound). Checked before fetching so an already-determined network
-        // NN never triggers extra candidate retrieval.
-        if (!d.heap.empty() &&
-            d.heap.top().source_dist <= d.browser->PeekLowerBound()) {
-          break;
-        }
-        const auto item = d.browser->Next();
-        if (!item.found) {
-          d.browser_exhausted = true;
-          break;
-        }
-        if (!fetched[item.id]) {
-          fetched[item.id] = 1;
-          ++result.stats.candidate_count;
-        }
-        if (resolved[item.id]) continue;  // another source settled it
-        const Dist d_net = source_distance(
-            d.source_dim, item.id, dataset.mapping->ObjectLocation(item.id));
-        if (std::isfinite(d_net)) {
-          d.heap.push(SourceCandidate{d_net, item.id});
-        }
-      }
-      if (d.heap.empty()) return SourceCandidate{kInfDist, kInvalidObject};
-      const SourceCandidate top = d.heap.top();
-      d.heap.pop();
-      if (resolved[top.object]) continue;  // resolved since buffering
-      return top;
-    }
-  };
+  // Step 1.1 skips an entry when some s in S is at least as good as the
+  // entry's optimistic vector in every dimension and strictly better
+  // somewhere. The optimistic vector is computed through a different FP
+  // path than S, so strictness uses the tie margin (dominance.h).
+  LbcDiscovery discovery(
+      dataset, spec, options.alternate_sources, radius,
+      [&skyline_rows](std::span<const Dist> optimistic) {
+        return !skyline_rows.empty() &&
+               FirstDominator(skyline_rows, optimistic, kFpTieMargin) <
+                   skyline_rows.size();
+      });
 
   // Step 2: screen candidate p with path distance lower bounds.
-  // Returns p's full vector if it is a skyline point, empty if dominated.
+  // Returns p's full vector if it is a skyline point, empty if dominated
+  // or out of range.
   //
   // Domination is decided by an LbcScreen, which re-tests only the rows
   // of S that a grown bound can have changed.
@@ -223,27 +220,25 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     }
     return true;
   };
-  auto screen = [&](const SourceCandidate& cand,
-                    std::size_t src) -> DistVector {
+  auto screen = [&](const LbcDiscovery::Candidate& cand) -> DistVector {
     const Location& loc = dataset.mapping->ObjectLocation(cand.object);
     const DistVector attrs = dataset.StaticAttributesOf(cand.object);
 
     // Current bounds per dimension; exact[i] says bound is the true value.
     DistVector bound(n, 0.0);
     std::vector<bool> exact(n, false);
-    bound[src] = cand.source_dist;
-    exact[src] = true;
+    bound[cand.source] = cand.source_dist;
+    exact[cand.source] = true;
     std::vector<std::unique_ptr<AStarSearch::Probe>> probes(n);
     const Point p_pos = dataset.mapping->ObjectPosition(cand.object);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i == src) continue;
+      if (i == cand.source) continue;
       if (options.use_plb) {
         // Cache first: a memoized or wavefront-exact distance makes the
         // dimension exact with zero expansion; a partial wavefront still
         // contributes an admissible lower bound below.
-        Dist wavefront_lb = 0.0;
         if (const std::optional<Dist> cached =
-                exact_cached(i, cand.object, loc)) {
+                discovery.CachedDistance(i, cand.object, loc)) {
           bound[i] = *cached;
           exact[i] = true;
           if (!std::isfinite(bound[i])) {
@@ -254,25 +249,20 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
           }
           continue;
         }
-        if (wavefronts[i] != nullptr) {
-          wavefront_lb =
-              ProbeCheckpoint(*dataset.network, wavefronts[i]->search,
-                              wavefront_radius[i], spec.sources[i], loc)
-                  .bound;
-        }
         // Bounds start at the Euclidean distances (tightened by landmark
         // and cached-wavefront bounds when available); probes are created
         // (and network access paid) only if and when a dimension must
         // advance.
         bound[i] =
-            std::max(wavefront_lb, EuclideanDistance(query_points[i], p_pos));
+            std::max(discovery.WavefrontBound(i, loc),
+                     EuclideanDistance(discovery.query_point(i), p_pos));
         if (dataset.landmarks != nullptr) {
           bound[i] = std::max(
               bound[i], dataset.landmarks->LowerBound(spec.sources[i], loc));
         }
       } else {
         // Ablation: full distances immediately, no early termination.
-        bound[i] = source_distance(i, cand.object, loc);
+        bound[i] = discovery.Distance(i, cand.object, loc);
         exact[i] = true;
       }
     }
@@ -285,6 +275,9 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       }
       return DistVector{};
     };
+    for (std::size_t i = 0; i < n; ++i) {
+      if (bound[i] > radius) return reject();
+    }
     LbcScreen screened(skyline_rows, n, attrs);
     if (screened.Start(bound, exact)) return reject();
     // Initial bounds, before any probe expansion: the tightness a plb/ALT
@@ -310,7 +303,7 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       // minimum").
       if (probes[best_dim] == nullptr) {
         probes[best_dim] = std::make_unique<AStarSearch::Probe>(
-            search_for(best_dim).NewProbe(loc));
+            discovery.search(best_dim).NewProbe(loc));
       }
       AStarSearch::Probe& probe = *probes[best_dim];
       const Dist plb = probe.Advance();
@@ -318,14 +311,8 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       if (probe.done()) {
         bound[best_dim] = probe.distance();
         exact[best_dim] = true;
-        if (spec.plan != nullptr) spec.plan->RecordComputed();
-        if (dataset.cache != nullptr) {
-          // Probe completion yields an exact distance — harvest it (inf
-          // included, so unreachability is also remembered).
-          dataset.cache->StoreDistance(spec.sources[best_dim], cand.object,
-                                       bound[best_dim],
-                                       dataset.graph_pager->data_epoch());
-        }
+        // Probe completion yields an exact distance: harvest it.
+        discovery.Harvest(best_dim, cand.object, bound[best_dim]);
         if (!std::isfinite(bound[best_dim])) {
           // Unreachable from some query point: excluded by the library's
           // skyline semantics.
@@ -338,6 +325,7 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
                                                   bound[best_dim]);
         if (spec.plan != nullptr) spec.plan->RecordTightness(pct);
       }
+      if (bound[best_dim] > radius) return reject();
       if (screened.Step(best_dim, bound[best_dim], exact[best_dim])) {
         return reject();
       }
@@ -349,10 +337,10 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     return vec;
   };
 
-  // Main loop: rotate across the discovery sources (a single iteration
-  // vector in single-source mode) until every source is exhausted.
-  std::size_t live = discoveries.size();
-  std::vector<std::uint8_t> done(discoveries.size(), 0);
+  // Main loop: rotate across the discovery streams (a single iteration
+  // stream in single-source mode) until every stream is exhausted.
+  std::size_t live = discovery.stream_count();
+  std::vector<std::uint8_t> done(live, 0);
   std::size_t turn = 0;
   while (live > 0) {
     if (guard.Exceeded()) {
@@ -362,25 +350,23 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
       result.truncation_reason = guard.reason();
       break;
     }
-    const std::size_t di = turn % discoveries.size();
+    const std::size_t s = turn % done.size();
     ++turn;
-    if (done[di]) continue;
-    Discovery& discovery = discoveries[di];
-    SourceCandidate cand;
+    if (done[s]) continue;
+    LbcDiscovery::Candidate cand;
     {
       obs::Span span(trace, "lbc.filter");
-      cand = next_network_nn(discovery);
+      cand = discovery.Next(s);
     }
     if (cand.object == kInvalidObject) {
-      done[di] = 1;
+      done[s] = 1;
       --live;
       continue;
     }
-    resolved[cand.object] = 1;
     DistVector vec;
     {
       obs::Span span(trace, "lbc.confirm");
-      vec = screen(cand, discovery.source_dim);
+      vec = screen(cand);
     }
     if (vec.empty()) continue;
     scope.MarkInitial();
@@ -400,20 +386,12 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
         RemoveTieDominated(std::move(result.skyline), skyline_rows);
   }
 
+  result.stats.candidate_count = discovery.candidate_count();
   result.stats.skyline_size = result.skyline.size();
-  if (spec.plan != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      spec.plan->RecordSource(
-          i, searches[i] != nullptr ? searches[i]->settled_count() : 0,
-          searches[i] != nullptr ? searches[i]->max_settled_distance() : 0.0,
-          wavefronts[i] != nullptr);
-    }
-  }
+  discovery.RecordSources();
   scope.Finish(&result.stats);
   return result;
 }
-
-}  // namespace
 
 LbcScreen::LbcScreen(const VectorRows& skyline, std::size_t n,
                      std::span<const Dist> attrs)
@@ -489,7 +467,7 @@ SkylineResult RunLbc(const Dataset& dataset, const SkylineQuerySpec& spec,
                      const LbcOptions& options,
                      const ProgressiveCallback& on_skyline) {
   return RunQueryBody(dataset, spec, [&] {
-    return RunLbcBody(dataset, spec, options, on_skyline);
+    return RunLbcBody(dataset, spec, options, kInfDist, on_skyline, "lbc");
   });
 }
 

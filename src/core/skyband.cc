@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <queue>
 
 #include "common/check.h"
+#include "core/lbc.h"
 #include "core/naive.h"
-#include "graph/astar.h"
-#include "index/rtree.h"
 
 namespace msq {
 
@@ -77,108 +74,36 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
   SkybandResult result;
 
   const std::size_t n = spec.sources.size();
-  const std::size_t src = spec.lbc_source_index;
-  const std::size_t attr_dims = dataset.static_dims();
-  const DistVector min_attrs = dataset.MinStaticAttributes();
-
-  std::vector<Point> query_points;
-  query_points.reserve(n);
-  for (const Location& source : spec.sources) {
-    query_points.push_back(dataset.network->LocationPosition(source));
-  }
-  std::vector<std::unique_ptr<AStarSearch>> searches(n);
-  auto search_for = [&](std::size_t qi) -> AStarSearch& {
-    if (searches[qi] == nullptr) {
-      searches[qi] = std::make_unique<AStarSearch>(
-          dataset.graph_pager, spec.sources[qi], dataset.landmarks);
-    }
-    return *searches[qi];
-  };
 
   // Every candidate's full vector, in ascending source-distance
   // resolution order. Dominators of a candidate resolve before it (ties
   // repaired by the final recount), so counting within this set is exact
   // whenever the count stays below k (see skyband.h).
-  VectorRows resolved(n + attr_dims);
+  VectorRows resolved(n + dataset.static_dims());
 
   // Region prune: a subtree may be skipped only when k resolved vectors
   // jointly dominate its optimistic vector. The optimistic vector is
   // computed through a different FP path than the resolved vectors, so
   // strictness uses the tie margin (dominance.h).
-  DistVector lb(n + attr_dims);  // scratch, rebuilt per entry
-  auto prune = [&](const RTreeEntry& entry, bool is_leaf) {
-    if (resolved.size() < k) return false;
-    for (std::size_t i = 0; i < n; ++i) {
-      lb[i] = entry.mbr.MinDist(query_points[i]);
-    }
-    if (attr_dims > 0) {
-      if (is_leaf) {
-        const DistVector attrs = dataset.StaticAttributesOf(entry.id);
-        std::copy(attrs.begin(), attrs.end(), lb.begin() + n);
-      } else {
-        std::copy(min_attrs.begin(), min_attrs.end(), lb.begin() + n);
-      }
-    }
-    return CountDominators(resolved, lb, kFpTieMargin, k) >= k;
-  };
-  RTreeNnBrowser browser(dataset.object_rtree, query_points[src], prune);
-
-  struct SourceCandidate {
-    Dist source_dist;
-    ObjectId object;
-    bool operator>(const SourceCandidate& other) const {
-      return source_dist > other.source_dist;
-    }
-  };
-  std::priority_queue<SourceCandidate, std::vector<SourceCandidate>,
-                      std::greater<>>
-      source_heap;
-  bool browser_exhausted = false;
-
-  auto next_network_nn = [&]() -> SourceCandidate {
-    while (!browser_exhausted) {
-      if (!source_heap.empty() &&
-          source_heap.top().source_dist <= browser.PeekLowerBound()) {
-        const SourceCandidate top = source_heap.top();
-        source_heap.pop();
-        return top;
-      }
-      const auto item = browser.Next();
-      if (!item.found) {
-        browser_exhausted = true;
-        break;
-      }
-      ++result.stats.candidate_count;
-      const Dist d_net = search_for(src).DistanceTo(
-          dataset.mapping->ObjectLocation(item.id));
-      if (std::isfinite(d_net)) {
-        source_heap.push(SourceCandidate{d_net, item.id});
-      }
-    }
-    if (!source_heap.empty()) {
-      const SourceCandidate top = source_heap.top();
-      source_heap.pop();
-      return top;
-    }
-    return SourceCandidate{kInfDist, kInvalidObject};
-  };
+  LbcDiscovery discovery(
+      dataset, spec, /*alternate_sources=*/false, kInfDist,
+      [&resolved, k](std::span<const Dist> optimistic) {
+        return resolved.size() >= k &&
+               CountDominators(resolved, optimistic, kFpTieMargin, k) >= k;
+      });
 
   std::vector<SkybandResult::Entry> provisional;
   for (;;) {
-    const SourceCandidate cand = next_network_nn();
+    const LbcDiscovery::Candidate cand = discovery.Next(0);
     if (cand.object == kInvalidObject) break;
     const Location& loc = dataset.mapping->ObjectLocation(cand.object);
 
     DistVector vec(n, 0.0);
-    vec[src] = cand.source_dist;
     bool reachable = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == src) continue;
-      vec[i] = search_for(i).DistanceTo(loc);
-      if (!std::isfinite(vec[i])) {
-        reachable = false;
-        break;
-      }
+    for (std::size_t i = 0; i < n && reachable; ++i) {
+      vec[i] = i == cand.source ? cand.source_dist
+                                : discovery.Distance(i, cand.object, loc);
+      reachable = std::isfinite(vec[i]);
     }
     if (!reachable) continue;
     const DistVector attrs = dataset.StaticAttributesOf(cand.object);
@@ -206,6 +131,7 @@ SkybandResult RunSkybandLbc(const Dataset& dataset,
               return a.object < b.object;
             });
 
+  result.stats.candidate_count = discovery.candidate_count();
   result.stats.skyline_size = result.entries.size();
   scope.Finish(&result.stats);
   return result;

@@ -5,12 +5,14 @@
 // SIGMOD 2003): a user who may discard up to k-1 options still finds a
 // satisfactory object inside the k-skyband. Two implementations:
 //  * naive — full network distance matrix, count dominators per object;
-//  * LBC-style — discover candidates as incremental network NNs of a
-//    source query point (ascending source distance means every potential
-//    dominator of a candidate is resolved before it, ties aside) and stop
-//    once the undominated... k-dominated region covers the rest. The
-//    screening keeps a candidate until k distinct resolved objects
-//    dominate it.
+//  * LBC-style — LBC's discovery loop (LbcDiscovery, core/lbc.h) returns
+//    candidates as incremental network NNs of a source query point, in
+//    ascending source distance, so every potential dominator of a
+//    candidate is resolved before it, ties aside. It skips an R-tree
+//    region once k resolved objects dominate its optimistic vector.
+//    There is no screen: every candidate is resolved to its full distance
+//    vector, and a final recount over all of them fixes each dominator
+//    count (and repairs tie order).
 #ifndef MSQ_CORE_SKYBAND_H_
 #define MSQ_CORE_SKYBAND_H_
 
@@ -34,9 +36,9 @@ struct SkybandResult {
 SkybandResult RunSkybandNaive(const Dataset& dataset,
                               const SkylineQuerySpec& spec, std::size_t k);
 
-// Exact k-skyband by LBC-style incremental discovery. The R-tree region
-// prune requires k points to jointly dominate a subtree before skipping
-// it, so candidate sets grow with k.
+// Exact k-skyband by LBC's discovery loop. The R-tree region prune
+// requires k points to jointly dominate a subtree before skipping it, so
+// candidate sets grow with k.
 SkybandResult RunSkybandLbc(const Dataset& dataset,
                             const SkylineQuerySpec& spec, std::size_t k);
 

@@ -1,5 +1,5 @@
-// Robust POSIX socket helpers shared by msq_server, the msq_stats metrics
-// endpoint, and the bench_soak client driver.
+// Robust POSIX socket helpers shared by MsqServer and the bench_soak and
+// bench_churn client drivers.
 //
 // Everything here assumes a hostile or flaky peer: writes handle partial
 // progress and EINTR and never raise SIGPIPE; reads are bounded in bytes

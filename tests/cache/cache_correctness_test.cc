@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/query_cache.h"
+#include "core/constrained.h"
 #include "core/skyline_query.h"
 #include "gen/workloads.h"
 #include "obs/trace.h"
@@ -92,6 +93,13 @@ TEST(CacheCorrectnessTest, MixedAlgorithmFlowStaysByteIdentical) {
     ASSERT_TRUE(baselines.back().status.ok());
   }
 
+  // The constrained skyline is LBC with a radius, so it reads the same
+  // cache: after LBC it must find hits there and still match its cold run.
+  constexpr Dist kRadius = 0.5;
+  const SkylineResult constrained_baseline =
+      RunConstrainedSkylineLbc(workload->dataset(), spec, kRadius);
+  ASSERT_FALSE(constrained_baseline.skyline.empty());
+
   // One cache shared across algorithms, two rounds: CE's harvested
   // distances flow into EDC/LBC and vice versa without changing a byte.
   QueryCache cache;
@@ -99,14 +107,18 @@ TEST(CacheCorrectnessTest, MixedAlgorithmFlowStaysByteIdentical) {
   dataset.cache = &cache;
   std::uint64_t second_round_hits = 0;
   for (int round = 0; round < 2; ++round) {
+    const char* label = round == 0 ? "first round" : "second round";
     for (std::size_t a = 0; a < std::size(kCachedAlgorithms); ++a) {
       SCOPED_TRACE(AlgorithmName(kCachedAlgorithms[a]));
       const SkylineResult result =
           RunSkylineQuery(kCachedAlgorithms[a], dataset, spec);
-      ExpectSameSkyline(result, baselines[a],
-                        round == 0 ? "first round" : "second round");
+      ExpectSameSkyline(result, baselines[a], label);
       if (round == 1) second_round_hits += CacheHits(result.stats);
     }
+    const SkylineResult constrained =
+        RunConstrainedSkylineLbc(dataset, spec, kRadius);
+    ExpectSameSkyline(constrained, constrained_baseline, label);
+    EXPECT_GT(CacheHits(constrained.stats), 0u) << label;
   }
   EXPECT_GT(second_round_hits, 0u);
 }

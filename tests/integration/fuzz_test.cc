@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "core/constrained.h"
+#include "core/naive.h"
 #include "core/skyband.h"
 #include "core/skyline_query.h"
 #include "gen/workloads.h"
@@ -70,6 +71,15 @@ SkylineQuerySpec AdversarialQueries(const RoadNetwork& network,
     }
   }
   return spec;
+}
+
+// Network distances reached through different searches (A* probes against
+// the oracle's Dijkstra sweeps) agree up to rounding.
+void ExpectNearVector(const DistVector& got, const DistVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t d = 0; d < got.size(); ++d) {
+    EXPECT_NEAR(got[d], want[d], 1e-9) << "dimension " << d;
+  }
 }
 
 class FuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -138,6 +148,51 @@ TEST_P(FuzzTest, VariantsConsistentOnAdversarialInstances) {
     const auto constrained = testing::SkylineIds(
         RunConstrainedSkylineLbc(workload->dataset(), spec, 1e9));
     ASSERT_EQ(constrained, skyline) << "constrained r=inf diverged";
+
+    // At a finite radius, the median over reachable objects of their
+    // farthest query point, the constrained skyline matches its oracle
+    // entry by entry.
+    std::vector<Dist> reach;
+    for (const DistVector& v :
+         ComputeAllNetworkVectors(workload->dataset(), spec)) {
+      if (AllFinite(v)) reach.push_back(*std::max_element(v.begin(), v.end()));
+    }
+    std::sort(reach.begin(), reach.end());
+    const Dist radius = reach.empty() ? 0.0 : reach[reach.size() / 2];
+    auto by_object = [](std::vector<SkylineEntry> entries) {
+      std::sort(entries.begin(), entries.end(),
+                [](const SkylineEntry& a, const SkylineEntry& b) {
+                  return a.object < b.object;
+                });
+      return entries;
+    };
+    const auto lbc_range = by_object(
+        RunConstrainedSkylineLbc(workload->dataset(), spec, radius).skyline);
+    const auto naive_range = by_object(
+        RunConstrainedSkylineNaive(workload->dataset(), spec, radius)
+            .skyline);
+    ASSERT_EQ(lbc_range.size(), naive_range.size())
+        << "constrained r=" << radius << " diverged";
+    for (std::size_t i = 0; i < lbc_range.size(); ++i) {
+      ASSERT_EQ(lbc_range[i].object, naive_range[i].object)
+          << "constrained r=" << radius << " diverged";
+      ExpectNearVector(lbc_range[i].vector, naive_range[i].vector);
+    }
+
+    // The 2-skyband: the same entries, dominator counts and distances.
+    const auto lbc_band = RunSkybandLbc(workload->dataset(), spec, 2);
+    const auto naive_band = RunSkybandNaive(workload->dataset(), spec, 2);
+    ASSERT_EQ(lbc_band.entries.size(), naive_band.entries.size())
+        << "skyband k=2 diverged";
+    for (std::size_t i = 0; i < lbc_band.entries.size(); ++i) {
+      ASSERT_EQ(lbc_band.entries[i].object, naive_band.entries[i].object)
+          << "skyband k=2 diverged";
+      ASSERT_EQ(lbc_band.entries[i].dominator_count,
+                naive_band.entries[i].dominator_count)
+          << "skyband k=2 diverged";
+      ExpectNearVector(lbc_band.entries[i].vector,
+                       naive_band.entries[i].vector);
+    }
   }
 }
 

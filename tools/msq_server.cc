@@ -467,8 +467,8 @@ int main(int argc, char** argv) {
     if (!WriteFile(opts.trace_out, out)) return 1;
   }
   if (!opts.flight_out.empty()) {
-    // Flight dump shares the msq_stats JSON shape (one record per line is
-    // not needed here; the array form diffs well in CI artifacts).
+    // Flight dump: one JSON array of records, one record per line (the
+    // array form diffs well in CI artifacts).
     std::string out = "[\n";
     const std::vector<obs::FlightRecord> flight =
         executor->telemetry().flight_recorder().Snapshot();
