@@ -608,7 +608,7 @@ int main(int argc, char** argv) {
   gate(conservation.empty(), "admission conservation exact", conservation);
 
   const std::uint64_t flight_total =
-      executor.telemetry().flight_recorder().total_recorded();
+      executor.telemetry().flight_recorder().Snapshot().total;
   {
     char detail[128];
     std::snprintf(detail, sizeof(detail),
@@ -773,7 +773,7 @@ int main(int argc, char** argv) {
     std::string out = "{\"traces\":[";
     bool first = true;
     for (const obs::RetainedTrace& trace :
-         executor.telemetry().trace_store().Snapshot()) {
+         executor.telemetry().trace_store().Snapshot().records) {
       if (!first) out += ",";
       first = false;
       out += "\n{\"trace_id\":\"" + trace.TraceIdHex() + "\",\"reason\":\"";

@@ -39,16 +39,6 @@ obs::FlightRecord MakeFlightRecord(Algorithm algorithm,
 
 }  // namespace
 
-QueryExecutor::QueryExecutor(Dataset dataset, std::size_t workers)
-    : QueryExecutor(std::move(dataset), workers,
-                    std::unique_ptr<QueryCache>(), obs::TelemetryConfig{}) {}
-
-QueryExecutor::QueryExecutor(Dataset dataset, std::size_t workers,
-                             const QueryCacheConfig& cache_config)
-    : QueryExecutor(std::move(dataset), workers,
-                    std::make_unique<QueryCache>(cache_config),
-                    obs::TelemetryConfig{}) {}
-
 QueryExecutor::QueryExecutor(Dataset dataset, std::size_t workers,
                              const obs::TelemetryConfig& telemetry_config)
     : QueryExecutor(std::move(dataset), workers,

@@ -76,24 +76,19 @@ class QueryExecutor {
   // temporary is fine); the structures it points into must outlive the
   // executor. `workers` must be >= 1. Queries reuse nothing across each
   // other unless the dataset view already carries a QueryCache. Serving
-  // telemetry (obs/telemetry.h) runs with default config: every completion
-  // feeds the per-algorithm histograms and the flight recorder;
-  // slow-query auto-capture stays off until thresholds are configured.
-  QueryExecutor(Dataset dataset, std::size_t workers);
+  // telemetry (obs/telemetry.h) runs with `telemetry_config`: by default
+  // every completion feeds the per-algorithm histograms and the flight
+  // recorder, and slow-query detection stays off until thresholds are
+  // configured; enabled=false gives a bare executor.
+  QueryExecutor(Dataset dataset, std::size_t workers,
+                const obs::TelemetryConfig& telemetry_config = {});
 
   // Same, plus an executor-owned cross-query cache (cache/query_cache.h)
   // shared by all workers: the dataset view handed to every query carries
   // it, so wavefronts and exact distances flow between queries.
   QueryExecutor(Dataset dataset, std::size_t workers,
-                const QueryCacheConfig& cache_config);
-
-  // Explicit telemetry config: histogram registry override, flight-ring
-  // size, slow-query thresholds, or enabled=false for a bare executor.
-  QueryExecutor(Dataset dataset, std::size_t workers,
-                const obs::TelemetryConfig& telemetry_config);
-  QueryExecutor(Dataset dataset, std::size_t workers,
                 const QueryCacheConfig& cache_config,
-                const obs::TelemetryConfig& telemetry_config);
+                const obs::TelemetryConfig& telemetry_config = {});
 
   ~QueryExecutor();
 
@@ -124,7 +119,7 @@ class QueryExecutor {
   std::size_t pending() const;
 
   // Blocks until no queued or in-flight work remains. Telemetry reads
-  // (flight recorder, slow log, trace store, histograms) are stable
+  // (flight recorder, trace store, plans, histograms) are stable
   // afterwards, provided no other thread is still submitting.
   void Quiesce() const;
 
@@ -148,8 +143,8 @@ class QueryExecutor {
   QueryCache* cache() const { return cache_.get(); }
 
   // The executor-owned serving-telemetry layer (always constructed; a
-  // disabled config makes it inert). Flight records, slow-query profiles,
-  // and the histogram registry hang off it.
+  // disabled config makes it inert). Flight records, retained traces,
+  // plans, and the histogram registry hang off it.
   obs::ServingTelemetry& telemetry() const { return *telemetry_; }
 
  private:
@@ -188,8 +183,8 @@ class QueryExecutor {
   std::unique_ptr<obs::ServingTelemetry> telemetry_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  // Signalled each time a worker finishes a job (and its slow capture)
-  // with nothing left queued or running; Quiesce waits on it.
+  // Signalled each time a worker finishes a job (telemetry included) with
+  // nothing left queued or running; Quiesce waits on it.
   mutable std::condition_variable idle_cv_;
   std::deque<Job> queue_;
   std::deque<ExclusiveJob> exclusive_queue_;

@@ -1,32 +1,17 @@
-// Always-on per-query flight recorder: a fixed-size lock-free ring of
-// completion records, written by every QueryExecutor worker on every query
-// it finishes. The last `capacity` queries are always reconstructible after
-// the fact — including the ones nobody thought to trace.
-//
-// Write path: one fetch_add claims a globally unique sequence number (and
-// with it a slot), a compare-exchange marks the slot's commit word as being
-// written, the payload is stored word by word with relaxed atomics, and
-// the commit word is released last. No locks, no allocation. Two writers
-// meet on one slot only when `capacity` writes complete while one is still
-// in flight; the later one then waits for the earlier to commit, because
-// interleaved payload stores would publish a torn record. Size the ring
-// well above the worker count (the default is 256 per executor) and that
-// wait never happens.
-//
-// Read path (Snapshot) is best-effort consistent: a slot is skipped while
-// its commit word says a write is in flight, and re-checked after the
-// payload copy so a record overwritten mid-copy is dropped rather than
-// returned torn.
+// Always-on per-query flight recorder: a bounded ring (obs/recent_ring.h)
+// of completion records, written by every QueryExecutor worker on every
+// query it finishes. The last `capacity` queries are always
+// reconstructible after the fact — including the ones nobody thought to
+// trace. A record's sequence is its 1-based completion order: the ring's
+// push count, so sequences are dense and a snapshot lists them ascending.
 #ifndef MSQ_OBS_FLIGHT_RECORDER_H_
 #define MSQ_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "obs/metrics.h"
+#include "obs/recent_ring.h"
 
 namespace msq::obs {
 
@@ -35,7 +20,7 @@ namespace msq::obs {
 // thread-exact numbers QueryStats::counters reports for a pool attached to
 // its query-stack role.
 struct FlightRecord {
-  std::uint64_t sequence = 0;     // 1-based completion order, assigned by Record
+  std::uint64_t sequence = 0;     // 1-based completion order
   std::uint64_t spec_digest = 0;  // core::QuerySpecDigest of (algorithm, spec)
   // 128-bit request trace id (obs/request_context.h); zero when the query
   // was submitted without telemetry.
@@ -54,46 +39,28 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  // Appends one record (record.sequence is assigned here, overwriting the
-  // ring's oldest entry once full). Lock-free; safe from any thread.
-  std::uint64_t Record(const FlightRecord& record);
-
-  // The currently retained records in completion order (oldest first).
-  // Records mid-overwrite are skipped, never returned torn.
-  std::vector<FlightRecord> Snapshot() const;
-
-  std::size_t capacity() const { return capacity_; }
-  // Total records ever written (== the highest assigned sequence).
-  std::uint64_t total_recorded() const {
-    return next_.load(std::memory_order_relaxed);
+  // Appends one record, overwriting the oldest once full, and returns its
+  // sequence. Safe from any thread.
+  std::uint64_t Record(const FlightRecord& record) {
+    return ring_.Push(record);
   }
 
- private:
-  struct Slot {
-    // 0 = empty; all ones while a writer fills the slot; otherwise the
-    // committed sequence.
-    std::atomic<std::uint64_t> committed{0};
-    std::atomic<std::uint64_t> spec_digest{0};
-    std::atomic<std::uint64_t> trace_id_hi{0};
-    std::atomic<std::uint64_t> trace_id_lo{0};
-    std::atomic<std::uint32_t> algorithm{0};
-    std::atomic<std::int32_t> status_code{0};
-    std::atomic<std::uint32_t> truncation{0};
-    std::atomic<std::uint32_t> source_count{0};
-    std::atomic<std::uint64_t> skyline_size{0};
-    std::atomic<double> wall_seconds{0.0};
-    // FlightRecord::counters, in kCounterRows order.
-    std::atomic<std::uint64_t> counters[kCounterCount] = {};
-  };
+  // The retained records oldest first, each stamped with its sequence;
+  // `total` is the number of records ever written (the highest sequence).
+  RecentRing<FlightRecord>::Window Snapshot() const {
+    RecentRing<FlightRecord>::Window window = ring_.Snapshot();
+    std::uint64_t sequence = window.evicted;
+    for (FlightRecord& record : window.records) record.sequence = ++sequence;
+    return window;
+  }
 
-  const std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> next_{0};
+  std::size_t capacity() const { return ring_.capacity(); }
+
+ private:
+  RecentRing<FlightRecord> ring_;
 };
 
 }  // namespace msq::obs

@@ -172,9 +172,7 @@ inline constexpr char kCacheBytes[] = "cache.bytes";
 // histograms are per algorithm — `exec.<algo>.<event>_hist`, e.g.
 // `exec.ce.latency_us_hist` — built from these suffixes.
 inline constexpr char kExecQueries[] = "exec.queries";
-inline constexpr char kExecSlowQueries[] = "exec.slow_queries";
-inline constexpr char kExecSlowQueriesCaptured[] =
-    "exec.slow_queries_captured";
+inline constexpr char kExecSlowQueryCount[] = "exec.slow_queries";
 // Tail-based trace sampling (obs/trace_store.h): completions whose trace
 // survived the retention decision, and requests the head-rate coin picked
 // at ingress (which get detail spans and guaranteed retention).

@@ -274,26 +274,15 @@ std::string PlanJson(const ExecutionPlan& plan) {
   return out;
 }
 
-void PlanStore::Retain(RetainedPlan plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  plans_.push_back(std::move(plan));
-  ++retained_total_;
-  while (plans_.size() > capacity_) plans_.pop_front();
-}
-
-std::vector<RetainedPlan> PlanStore::Snapshot() const {
-  std::vector<RetainedPlan> plans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    plans.assign(plans_.begin(), plans_.end());
-  }
+RecentRing<RetainedPlan>::Window PlanStore::Snapshot() const {
+  RecentRing<RetainedPlan>::Window window = plans_.Snapshot();
   // Workers retain plans in the order they finish telemetry, which can
   // differ from the order they drew their flight-recorder sequences.
-  std::sort(plans.begin(), plans.end(),
+  std::sort(window.records.begin(), window.records.end(),
             [](const RetainedPlan& a, const RetainedPlan& b) {
               return a.sequence < b.sequence;
             });
-  return plans;
+  return window;
 }
 
 void PlanStore::Account(std::string_view algorithm,
@@ -316,11 +305,6 @@ std::vector<std::pair<std::string, PlanAggregate>> PlanStore::Aggregates()
       aggregates_.begin(), aggregates_.end());
 }
 
-std::uint64_t PlanStore::retained_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_total_;
-}
-
 std::uint64_t PlanStore::accounted_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return accounted_total_;
@@ -329,7 +313,7 @@ std::uint64_t PlanStore::accounted_total() const {
 std::string ExplainzJson(const PlanStore& store) {
   const std::vector<std::pair<std::string, PlanAggregate>> aggregates =
       store.Aggregates();
-  const std::vector<RetainedPlan> plans = store.Snapshot();
+  const std::vector<RetainedPlan> plans = store.Snapshot().records;
   std::string out = "{\"pruning_efficiency\":[";
   bool first = true;
   for (const auto& [algo, aggregate] : aggregates) {

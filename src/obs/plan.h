@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -38,6 +37,7 @@
 #include <vector>
 
 #include "obs/histogram.h"
+#include "obs/recent_ring.h"
 #include "obs/trace.h"
 
 namespace msq {
@@ -194,35 +194,34 @@ struct PlanAggregate {
   Counters counters;
 };
 
-// Bounded FIFO of recent plans plus the per-algorithm pruning aggregates
-// (GET /explainz). Mutex-guarded — full plans are retained only for
-// explain-requested queries; Account() is the cheap every-completion path.
+// Bounded ring of recent plans (obs/recent_ring.h) plus the
+// per-algorithm pruning aggregates (GET /explainz). Full plans are
+// retained only for explain-requested queries; Account() is the cheap
+// every-completion path.
 class PlanStore {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
 
   explicit PlanStore(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : plans_(capacity) {}
 
-  void Retain(RetainedPlan plan);
-  // The retained plans in ascending flight-recorder sequence.
-  std::vector<RetainedPlan> Snapshot() const;
+  void Retain(RetainedPlan plan) { plans_.Push(std::move(plan)); }
+  // The retained plans in ascending flight-recorder sequence, with the
+  // total ever retained.
+  RecentRing<RetainedPlan>::Window Snapshot() const;
 
   // Folds one completed query's counters into the per-algorithm
   // rollup. Called for every completion when telemetry is on.
   void Account(std::string_view algorithm, const msq::QueryStats& stats);
   std::vector<std::pair<std::string, PlanAggregate>> Aggregates() const;
 
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t retained_total() const;
+  std::size_t capacity() const { return plans_.capacity(); }
   std::uint64_t accounted_total() const;
 
  private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::deque<RetainedPlan> plans_;
+  RecentRing<RetainedPlan> plans_;
+  mutable std::mutex mu_;  // guards the rollup
   std::map<std::string, PlanAggregate, std::less<>> aggregates_;
-  std::uint64_t retained_total_ = 0;
   std::uint64_t accounted_total_ = 0;
 };
 

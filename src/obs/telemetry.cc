@@ -19,11 +19,8 @@ ServingTelemetry::ServingTelemetry(const TelemetryConfig& config)
                                            : &GlobalMetrics()),
       flight_(config.flight_capacity),
       traces_(config.trace_capacity),
-      plans_(config.plan_capacity),
       queries_(registry_->counter(metric::kExecQueries)),
-      slow_queries_(registry_->counter(metric::kExecSlowQueries)),
-      slow_captured_(
-          registry_->counter(metric::kExecSlowQueriesCaptured)),
+      slow_queries_(registry_->counter(metric::kExecSlowQueryCount)),
       traces_retained_(registry_->counter(metric::kTracesRetained)),
       head_sampled_(registry_->counter(metric::kTracesHeadSampled)) {}
 
@@ -85,16 +82,6 @@ bool ServingTelemetry::IsSlow(const FlightRecord& record) const {
   return wall_slow || pages_slow;
 }
 
-bool ServingTelemetry::ShouldCaptureSlow(const FlightRecord& record) {
-  if (!config_.enabled) return false;
-  if (!IsSlow(record)) return false;
-  slow_queries_->Inc();
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  // Once the log is full, captures stop: detection stays counted, capture
-  // memory stays bounded.
-  return slow_log_.size() < config_.slow_log_capacity;
-}
-
 bool ServingTelemetry::HeadSample() {
   if (!config_.enabled || config_.head_sample_every == 0) return false;
   const std::uint64_t n =
@@ -110,16 +97,8 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
                                                std::string_view algorithm,
                                                QueryProfile profile) {
   if (!config_.enabled) return RetainReason::kNone;
-  // Slow queries feed the bounded slow log from this run's profile — no
-  // re-execution, so nothing is double-counted anywhere.
-  const bool capture_slow = ShouldCaptureSlow(record);
-  if (capture_slow) {
-    SlowQueryRecord slow;
-    slow.summary = record;
-    slow.recapture_wall_seconds = record.wall_seconds;
-    slow.profile = profile;
-    RetainSlowQuery(std::move(slow));
-  }
+  const bool slow = IsSlow(record);
+  if (slow) slow_queries_->Inc();
   // Retention priority: outcome anomalies first, then slowness, then the
   // head-sampling coin. 100% of errored/truncated/slow traces are kept;
   // fast healthy traces are kept at most at the head rate.
@@ -128,7 +107,7 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
     reason = RetainReason::kError;
   } else if (record.truncation != 0) {
     reason = RetainReason::kTruncated;
-  } else if (capture_slow || IsSlow(record)) {
+  } else if (slow) {
     reason = RetainReason::kSlow;
   } else if (ctx.sampled) {
     reason = RetainReason::kHeadSampled;
@@ -168,18 +147,6 @@ RetainReason ServingTelemetry::CompleteRequest(const TraceContext& ctx,
                        c.bound_pct_sum / c.bound_samples, trace_id);
   }
   return reason;
-}
-
-void ServingTelemetry::RetainSlowQuery(SlowQueryRecord record) {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  if (slow_log_.size() >= config_.slow_log_capacity) return;
-  slow_log_.push_back(std::move(record));
-  slow_captured_->Inc();
-}
-
-std::vector<SlowQueryRecord> ServingTelemetry::SlowQueries() const {
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  return std::vector<SlowQueryRecord>(slow_log_.begin(), slow_log_.end());
 }
 
 }  // namespace msq::obs

@@ -13,29 +13,26 @@
 //      profile here; the trace is retained in the TraceStore iff the
 //      query was slow (wall/page thresholds), errored, truncated, or
 //      head-sampled at the configured rate — otherwise it is dropped on
-//      the spot. Slow completions also land in the bounded slow-query
-//      log, fed from the same profile: the old "re-run the query traced"
-//      capture path is gone, so a slow query is never executed twice and
-//      counters/histograms/flight records count it exactly once.
+//      the spot. A slow query is therefore retained with reason `slow`
+//      from the profile of the run that was slow: nothing executes
+//      twice, and counters/histograms/flight records count it once.
 //
 // This file stays core-independent like the rest of src/obs: the executor
 // translates its SkylineResult/ThreadCounters into a plain FlightRecord
-// before reporting. Everything here is thread-safe; RecordQuery is two
-// atomic bumps, one small mutex-guarded pointer-cache lookup, and a ring
-// write — cheap enough to stay on for every query (< 2% of bench_throughput
-// cold QPS, measured in BENCH_throughput.json).
+// before reporting. Everything here is thread-safe; RecordQuery is a few
+// histogram observations, one small mutex-guarded pointer-cache lookup,
+// and a ring push. Its cost on the served path is measured by perfbench's
+// `obs.telemetry_overhead_pct` row (telemetry on vs. off).
 #ifndef MSQ_OBS_TELEMETRY_H_
 #define MSQ_OBS_TELEMETRY_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -54,35 +51,18 @@ struct TelemetryConfig {
   // Slow-query thresholds; 0 disables the respective trigger. A query is
   // slow when wall time exceeds `slow_wall_seconds` or total buffer page
   // accesses (network + index) exceed `slow_page_accesses`. Slow queries
-  // feed both the slow-query log and tail trace retention.
+  // are counted (exec.slow_queries) and always tail-retained.
   double slow_wall_seconds = 0.0;
   std::uint64_t slow_page_accesses = 0;
-  // Retained slow-query profiles; once full, the log stops growing
-  // (detection stays counted; traces may still be tail-retained).
-  std::size_t slow_log_capacity = 16;
   // Tail-sampling retention: capacity of the retained-trace store, and the
   // head-sampling rate — every Nth query is sampled at ingress regardless
   // of outcome (0 = head sampling off; 1 = sample everything). Slow,
   // errored, and truncated queries are always retained.
   std::size_t trace_capacity = TraceStore::kDefaultCapacity;
   std::uint64_t head_sample_every = 0;
-  // Recent execution plans retained for GET /explainz.
-  std::size_t plan_capacity = PlanStore::kDefaultCapacity;
   // Histogram/counter registry; null means GlobalMetrics(). Tests pass an
   // isolated registry.
   MetricsRegistry* registry = nullptr;
-};
-
-// One auto-captured slow query: the completion record that tripped the
-// threshold plus the profile recorded during that same run (queries are
-// always traced, so capture never re-executes anything).
-struct SlowQueryRecord {
-  FlightRecord summary;
-  // Wall seconds of the run the profile covers. Equal to
-  // summary.wall_seconds since capture stopped re-running queries; kept
-  // for dump compatibility.
-  double recapture_wall_seconds = 0.0;
-  QueryProfile profile;
 };
 
 class ServingTelemetry {
@@ -103,13 +83,6 @@ class ServingTelemetry {
   std::uint64_t RecordQuery(std::string_view algorithm,
                             const FlightRecord& record);
 
-  // True when `record` crosses a slow threshold and the slow log still has
-  // room for RetainSlowQuery. Also counts the detection
-  // (exec.slow_queries).
-  bool ShouldCaptureSlow(const FlightRecord& record);
-
-  void RetainSlowQuery(SlowQueryRecord record);
-
   // Head-sampling coin: true for every `head_sample_every`-th call (and
   // never when the rate is 0). Thread-safe; called once per request at
   // ingress (server accept or executor submit without a context).
@@ -117,10 +90,10 @@ class ServingTelemetry {
 
   // Tail-sampling completion hook, called by the executor once per query
   // after RecordQuery. Decides retention (slow per the thresholds above /
-  // error / truncated / ctx.sampled), stores the trace, feeds the
-  // slow-query log and the latency-histogram exemplar, and returns the
-  // decision (kNone = dropped). `queue_seconds` is submit -> execute
-  // start; `profile` is the span tree of this run.
+  // error / truncated / ctx.sampled), counts slow detections, stores the
+  // trace, feeds the latency-histogram exemplar, and returns the decision
+  // (kNone = dropped). `queue_seconds` is submit -> execute start;
+  // `profile` is the span tree of this run.
   RetainReason CompleteRequest(const TraceContext& ctx,
                                const FlightRecord& record,
                                double queue_seconds,
@@ -128,7 +101,6 @@ class ServingTelemetry {
                                QueryProfile profile);
 
   const FlightRecorder& flight_recorder() const { return flight_; }
-  std::vector<SlowQueryRecord> SlowQueries() const;
   const TraceStore& trace_store() const { return traces_; }
   PlanStore& plans() { return plans_; }
   const PlanStore& plans() const { return plans_; }
@@ -144,7 +116,7 @@ class ServingTelemetry {
     Histogram* cache_hits = nullptr;
   };
   const AlgoHistograms& HistogramsFor(std::string_view algorithm);
-  // Pure threshold test (no counting, no log-capacity check).
+  // Pure threshold test (no counting).
   bool IsSlow(const FlightRecord& record) const;
 
   const TelemetryConfig config_;
@@ -162,16 +134,12 @@ class ServingTelemetry {
   std::atomic<Histogram*> dominance_avoided_{nullptr};
   Counter* const queries_;
   Counter* const slow_queries_;
-  Counter* const slow_captured_;
   Counter* const traces_retained_;
   Counter* const head_sampled_;
   std::atomic<std::uint64_t> head_counter_{0};
 
   std::mutex algos_mu_;
   std::map<std::string, AlgoHistograms, std::less<>> algos_;
-
-  mutable std::mutex slow_mu_;
-  std::deque<SlowQueryRecord> slow_log_;
 };
 
 }  // namespace msq::obs

@@ -72,51 +72,21 @@ std::string RetainedTrace::TraceIdHex() const {
   return out;
 }
 
-TraceStore::TraceStore(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void TraceStore::Retain(RetainedTrace trace) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (traces_.size() >= capacity_) {
-    traces_.pop_front();
-    ++evicted_total_;
-  }
-  traces_.push_back(std::move(trace));
-  ++retained_total_;
-}
-
-std::vector<RetainedTrace> TraceStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<RetainedTrace>(traces_.begin(), traces_.end());
-}
-
 std::optional<RetainedTrace> TraceStore::Find(
     std::string_view trace_id_hex) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Newest first: if a trace id was somehow retained twice, the most
-  // recent retention wins.
-  for (auto it = traces_.rbegin(); it != traces_.rend(); ++it) {
-    if (it->TraceIdHex() == trace_id_hex) return *it;
-  }
-  return std::nullopt;
+  std::optional<RetainedTrace> found;
+  ring_.ScanNewestFirst([&](const RetainedTrace& trace) {
+    if (trace.TraceIdHex() != trace_id_hex) return false;
+    found = trace;
+    return true;
+  });
+  return found;
 }
 
 bool TraceStore::Contains(std::uint64_t hi, std::uint64_t lo) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const RetainedTrace& trace : traces_) {
-    if (trace.trace_id_hi == hi && trace.trace_id_lo == lo) return true;
-  }
-  return false;
-}
-
-std::uint64_t TraceStore::retained_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_total_;
-}
-
-std::uint64_t TraceStore::evicted_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evicted_total_;
+  return ring_.ScanNewestFirst([&](const RetainedTrace& trace) {
+    return trace.trace_id_hi == hi && trace.trace_id_lo == lo;
+  });
 }
 
 std::string RetainedTraceChromeJson(const RetainedTrace& trace) {
@@ -145,9 +115,10 @@ std::string RetainedTraceChromeJson(const RetainedTrace& trace) {
 }
 
 std::string TracezJson(const TraceStore& store) {
+  const RecentRing<RetainedTrace>::Window window = store.Snapshot();
   std::string out = "{\"retained\":[";
   bool first = true;
-  for (const RetainedTrace& trace : store.Snapshot()) {
+  for (const RetainedTrace& trace : window.records) {
     if (!first) out += ",";
     first = false;
     out += "{\"trace_id\":\"" + trace.TraceIdHex() + "\"";
@@ -166,8 +137,8 @@ std::string TracezJson(const TraceStore& store) {
     out += "}";
   }
   out += "],";
-  AppendF(&out, "\"retained_total\":%" PRIu64, store.retained_total());
-  AppendF(&out, ",\"evicted_total\":%" PRIu64, store.evicted_total());
+  AppendF(&out, "\"retained_total\":%" PRIu64, window.total);
+  AppendF(&out, ",\"evicted_total\":%" PRIu64, window.evicted);
   AppendF(&out, ",\"capacity\":%zu", store.capacity());
   out += "}";
   return out;
@@ -202,37 +173,18 @@ std::string WideEvent::ToJson() const {
   return out;
 }
 
-WideEventLog::WideEventLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void WideEventLog::Append(WideEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= capacity_) events_.pop_front();
-  events_.push_back(std::move(event));
-  ++total_;
-}
-
-std::vector<WideEvent> WideEventLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<WideEvent>(events_.begin(), events_.end());
-}
-
-std::uint64_t WideEventLog::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
 std::string WideEventLog::Json() const {
+  const RecentRing<WideEvent>::Window window = ring_.Snapshot();
   std::string out = "{\"events\":[";
   bool first = true;
-  for (const WideEvent& event : Snapshot()) {
+  for (const WideEvent& event : window.records) {
     if (!first) out += ",";
     first = false;
     out += "\n";
     out += event.ToJson();
   }
   out += "\n],";
-  AppendF(&out, "\"total\":%" PRIu64, total());
+  AppendF(&out, "\"total\":%" PRIu64, window.total);
   out += "}";
   return out;
 }

@@ -1,7 +1,7 @@
 // Tail-based trace retention, canonical wide events, and histogram
 // exemplars — the storage side of request tracing (obs/request_context.h).
 //
-// Three bounded, thread-safe stores:
+// Three bounded, thread-safe stores (the first two on obs/recent_ring.h):
 //
 //   * TraceStore — recently *retained* traces. Every query is traced into
 //     its worker's per-request span buffer; at completion the telemetry
@@ -25,15 +25,16 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.h"
+#include "obs/recent_ring.h"
 #include "obs/trace.h"
 
 namespace msq::obs {
@@ -68,36 +69,30 @@ struct RetainedTrace {
   std::string TraceIdHex() const;
 };
 
-// Bounded FIFO of retained traces. Retain/Snapshot/Find are mutex-guarded;
-// retention happens at most once per *retained* request, so the lock is
-// far off the per-query fast path.
+// Bounded FIFO of retained traces. Retention happens at most once per
+// *retained* request, so the ring's lock is far off the per-query path.
 class TraceStore {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
 
-  explicit TraceStore(std::size_t capacity = kDefaultCapacity);
+  explicit TraceStore(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
-  TraceStore(const TraceStore&) = delete;
-  TraceStore& operator=(const TraceStore&) = delete;
+  void Retain(RetainedTrace trace) { ring_.Push(std::move(trace)); }
 
-  void Retain(RetainedTrace trace);
-
-  // Oldest first.
-  std::vector<RetainedTrace> Snapshot() const;
+  // Oldest first, with the totals ever retained (`total`) and evicted by
+  // the capacity bound (`evicted`).
+  RecentRing<RetainedTrace>::Window Snapshot() const {
+    return ring_.Snapshot();
+  }
+  // The newest retention of a trace id wins.
   std::optional<RetainedTrace> Find(std::string_view trace_id_hex) const;
   bool Contains(std::uint64_t hi, std::uint64_t lo) const;
 
-  std::size_t capacity() const { return capacity_; }
-  // Total traces ever retained / evicted by the capacity bound.
-  std::uint64_t retained_total() const;
-  std::uint64_t evicted_total() const;
+  std::size_t capacity() const { return ring_.capacity(); }
 
  private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::deque<RetainedTrace> traces_;
-  std::uint64_t retained_total_ = 0;
-  std::uint64_t evicted_total_ = 0;
+  RecentRing<RetainedTrace> ring_;
 };
 
 // Chrome trace_event JSON for one retained trace: a synthetic "request"
@@ -107,7 +102,7 @@ class TraceStore {
 std::string RetainedTraceChromeJson(const RetainedTrace& trace);
 
 // The GET /tracez index body: summaries of every retained trace (no span
-// payloads) plus store totals.
+// payloads) plus store totals, all from one snapshot.
 std::string TracezJson(const TraceStore& store);
 
 // One canonical wide event per served request. All *_ms stage fields are
@@ -147,26 +142,23 @@ class WideEventLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  explicit WideEventLog(std::size_t capacity = kDefaultCapacity);
+  explicit WideEventLog(std::size_t capacity = kDefaultCapacity)
+      : ring_(capacity) {}
 
-  WideEventLog(const WideEventLog&) = delete;
-  WideEventLog& operator=(const WideEventLog&) = delete;
+  void Append(WideEvent event) { ring_.Push(std::move(event)); }
 
-  void Append(WideEvent event);
+  std::vector<WideEvent> Snapshot() const {  // oldest first
+    return ring_.Snapshot().records;
+  }
 
-  std::vector<WideEvent> Snapshot() const;  // oldest first
-  std::uint64_t total() const;
-
-  // {"events":[...],"total":N} — the GET /requestz body.
+  // {"events":[...],"total":N} — the GET /requestz body, from one ring
+  // snapshot (`total` counts every event ever appended).
   std::string Json() const;
   // One event per line (the canonical JSONL dump).
   std::string Jsonl() const;
 
  private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::deque<WideEvent> events_;
-  std::uint64_t total_ = 0;
+  RecentRing<WideEvent> ring_;
 };
 
 // Latest exemplar per (histogram name, log2 bucket): the observed value

@@ -121,8 +121,8 @@ void MsqServer::Shutdown() {
     }
   }
   ReapConnections(/*join_all=*/true);
-  // Settle slow-query captures and queued work so a post-drain telemetry
-  // flush reads stable, fully-accounted numbers.
+  // Settle queued work and its completion telemetry so a post-drain
+  // telemetry flush reads stable, fully-accounted numbers.
   executor_->Quiesce();
 }
 
@@ -837,14 +837,12 @@ std::string MsqServer::DebugzJson() const {
   out += HealthzJson();
   out += ",\n\"statz\":";
   out += StatzJson();
+  const auto flight = telemetry.flight_recorder().Snapshot();
   out += ",\n\"flight\":{\"total\":";
-  AppendJsonNumber(
-      &out,
-      static_cast<double>(telemetry.flight_recorder().total_recorded()));
+  AppendJsonNumber(&out, static_cast<double>(flight.total));
   out += ",\"records\":[";
   bool first = true;
-  for (const obs::FlightRecord& record :
-       telemetry.flight_recorder().Snapshot()) {
+  for (const obs::FlightRecord& record : flight.records) {
     if (!first) out += ",";
     first = false;
     out += "\n";

@@ -59,7 +59,7 @@ TEST_F(DeadlineRaceTest, ExpiredAtSubmissionReturnsTruncatedEmpty) {
     EXPECT_EQ(result.stats.network_pages + result.stats.index_pages, 0u);
   }
   executor.Quiesce();
-  EXPECT_EQ(executor.telemetry().flight_recorder().total_recorded(), 16u);
+  EXPECT_EQ(executor.telemetry().flight_recorder().Snapshot().total, 16u);
 }
 
 TEST_F(DeadlineRaceTest, DeadlineExpiringInsideTheQueueNeverHangs) {
@@ -97,7 +97,7 @@ TEST_F(DeadlineRaceTest, DeadlineExpiringInsideTheQueueNeverHangs) {
   // already behind by the time the worker picks it up) expires.
   EXPECT_GE(expired, 1u);
   executor.Quiesce();
-  EXPECT_EQ(executor.telemetry().flight_recorder().total_recorded(),
+  EXPECT_EQ(executor.telemetry().flight_recorder().Snapshot().total,
             kBurst);
 }
 

@@ -88,8 +88,9 @@ TEST(ExecutorPlanTest, PlansReconcileAcrossEightWorkers) {
   // With telemetry on, every explain-requested completion is retained for
   // /explainz.
   const obs::PlanStore& plans = executor.telemetry().plans();
-  EXPECT_EQ(plans.retained_total(), requests.size());
-  const std::vector<obs::RetainedPlan> retained = plans.Snapshot();
+  const auto window = plans.Snapshot();
+  EXPECT_EQ(window.total, requests.size());
+  const std::vector<obs::RetainedPlan>& retained = window.records;
   ASSERT_EQ(retained.size(), requests.size());
   std::set<std::uint64_t> sequences;
   std::uint64_t last_sequence = 0;
@@ -141,7 +142,7 @@ TEST(ExecutorPlanTest, WarmCachePlansAttributeTiersAndStillReconcile) {
   EXPECT_GT(warm_tier_hits, 0u);
 
   executor.Quiesce();
-  EXPECT_EQ(executor.telemetry().plans().retained_total(),
+  EXPECT_EQ(executor.telemetry().plans().Snapshot().total,
             2 * requests.size());
 }
 
@@ -162,7 +163,7 @@ TEST(ExecutorPlanTest, CallerWithoutFlagGetsNoPlanCopy) {
   executor.Quiesce();
   // Without the flag no full plan is built or retained, but the /explainz
   // pruning rollup still accounted every completion.
-  EXPECT_EQ(executor.telemetry().plans().retained_total(), 0u);
+  EXPECT_EQ(executor.telemetry().plans().Snapshot().total, 0u);
   EXPECT_EQ(executor.telemetry().plans().accounted_total(), requests.size());
 }
 
@@ -185,7 +186,7 @@ TEST(ExecutorPlanTest, DisabledTelemetryStillHonorsExplicitPlanRequests) {
     EXPECT_TRUE(results[i].plan->phases.empty());
   }
   // ...and nothing is retained for /explainz.
-  EXPECT_EQ(executor.telemetry().plans().retained_total(), 0u);
+  EXPECT_EQ(executor.telemetry().plans().Snapshot().total, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Serving telemetry through QueryExecutor: per-algorithm histograms whose
 // count/sum reconcile exactly with the counter registry and with the
 // batch's own QueryStats totals, flight records matching the batch,
-// slow-query auto-capture (threshold triggers, bounded log, profile
-// reuse), and the disabled configuration recording nothing. The suite name
-// matches the tools/check.sh tsan -R "Executor" filter, so everything here
-// also runs under TSan.
+// slow-query retention in the trace store (threshold triggers, bounded
+// store, profile reuse), and the disabled configuration recording
+// nothing. The suite name matches the tools/check.sh tsan -R "Executor"
+// filter, so everything here also runs under TSan.
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -115,7 +115,7 @@ TEST(ExecutorTelemetryTest, HistogramsReconcileWithQueryStats) {
   EXPECT_EQ(registry.counter(obs::metric::kExecQueries)->value(),
             requests.size());
   EXPECT_EQ(histogram_query_count, requests.size());
-  EXPECT_EQ(executor.telemetry().flight_recorder().total_recorded(),
+  EXPECT_EQ(executor.telemetry().flight_recorder().Snapshot().total,
             requests.size());
 }
 
@@ -130,7 +130,7 @@ TEST(ExecutorTelemetryTest, FlightRecordsMatchTheBatch) {
   const std::vector<SkylineResult> results = executor.RunBatch(requests);
 
   const std::vector<obs::FlightRecord> records =
-      executor.telemetry().flight_recorder().Snapshot();
+      executor.telemetry().flight_recorder().Snapshot().records;
   ASSERT_EQ(records.size(), requests.size());
 
   // Completion order is arbitrary; match records to requests through the
@@ -159,6 +159,17 @@ TEST(ExecutorTelemetryTest, FlightRecordsMatchTheBatch) {
   }
 }
 
+// The flight record of every retained trace, matched by sequence.
+std::map<std::uint64_t, obs::FlightRecord> FlightBySequence(
+    const QueryExecutor& executor) {
+  std::map<std::uint64_t, obs::FlightRecord> by_sequence;
+  for (const obs::FlightRecord& record :
+       executor.telemetry().flight_recorder().Snapshot().records) {
+    by_sequence[record.sequence] = record;
+  }
+  return by_sequence;
+}
+
 TEST(ExecutorTelemetryTest, SlowCaptureTriggersAndStaysBounded) {
   auto workload = SharedWorkload();
   const std::vector<QueryRequest> requests = MixedRequests(*workload, 4);
@@ -167,33 +178,40 @@ TEST(ExecutorTelemetryTest, SlowCaptureTriggersAndStaysBounded) {
   obs::TelemetryConfig config;
   config.registry = &registry;
   config.slow_wall_seconds = 1e-12;  // everything is slow
-  config.slow_log_capacity = 3;
+  config.trace_capacity = 3;
   QueryExecutor executor(workload->dataset(), /*workers=*/2, config);
   const std::vector<SkylineResult> results = executor.RunBatch(requests);
   for (const SkylineResult& result : results) {
     ASSERT_TRUE(result.status.ok());
   }
-  // Slow captures run after the futures resolve; wait for the workers to
-  // finish them before reading the telemetry.
+  // Retention runs after the futures resolve; wait for the workers to
+  // finish it before reading the telemetry.
   executor.Quiesce();
 
-  // Every completion crossed the threshold, but the log stays bounded and
-  // re-runs stop once it fills.
-  EXPECT_EQ(registry.counter(obs::metric::kExecSlowQueries)->value(),
+  // Every completion crossed the threshold and was counted and retained
+  // exactly once; the store keeps the newest `trace_capacity` of them.
+  EXPECT_EQ(registry.counter(obs::metric::kExecSlowQueryCount)->value(),
             requests.size());
-  const std::vector<obs::SlowQueryRecord> slow =
-      executor.telemetry().SlowQueries();
-  ASSERT_EQ(slow.size(), config.slow_log_capacity);
-  EXPECT_EQ(
-      registry.counter(obs::metric::kExecSlowQueriesCaptured)->value(),
-      slow.size());
-  for (const obs::SlowQueryRecord& record : slow) {
-    // The captured profile is a real traced run of the same query: spans
-    // present and deterministic work matching the original completion.
-    ASSERT_FALSE(record.profile.spans.empty());
-    EXPECT_EQ(record.profile.TotalCounters().settled_nodes,
-              record.summary.counters.settled_nodes);
-    EXPECT_GT(record.recapture_wall_seconds, 0.0);
+  EXPECT_EQ(registry.counter(obs::metric::kTracesRetained)->value(),
+            requests.size());
+  const auto retained = executor.telemetry().trace_store().Snapshot();
+  EXPECT_EQ(retained.total, requests.size());
+  EXPECT_EQ(retained.evicted, requests.size() - config.trace_capacity);
+  ASSERT_EQ(retained.records.size(), config.trace_capacity);
+  const std::map<std::uint64_t, obs::FlightRecord> flight =
+      FlightBySequence(executor);
+  for (const obs::RetainedTrace& trace : retained.records) {
+    EXPECT_EQ(trace.reason, obs::RetainReason::kSlow);
+    ASSERT_EQ(flight.count(trace.sequence), 1u);
+    const obs::FlightRecord& record = flight.at(trace.sequence);
+    // The retained profile is the traced run of the same query: spans
+    // present, its work matching the completion, and its wall time the
+    // flight record's.
+    ASSERT_FALSE(trace.profile.spans.empty());
+    EXPECT_EQ(trace.profile.TotalCounters().settled_nodes,
+              record.counters.settled_nodes);
+    EXPECT_DOUBLE_EQ(trace.wall_seconds, record.wall_seconds);
+    EXPECT_GT(trace.wall_seconds, 0.0);
   }
 }
 
@@ -206,24 +224,38 @@ TEST(ExecutorTelemetryTest, SlowCaptureReusesCallerRequestedProfile) {
   obs::TelemetryConfig config;
   config.registry = &registry;
   config.slow_page_accesses = 1;  // page-budget trigger this time
-  config.slow_log_capacity = requests.size();
   QueryExecutor executor(workload->dataset(), /*workers=*/2, config);
   const std::vector<SkylineResult> results = executor.RunBatch(requests);
+  std::map<std::uint64_t, const SkylineResult*> by_sequence;
   for (const SkylineResult& result : results) {
     ASSERT_TRUE(result.status.ok());
     ASSERT_TRUE(result.profile.has_value());
+    by_sequence[result.flight_sequence] = &result;
   }
   executor.Quiesce();
 
-  const std::vector<obs::SlowQueryRecord> slow =
-      executor.telemetry().SlowQueries();
-  ASSERT_EQ(slow.size(), requests.size());
-  for (const obs::SlowQueryRecord& record : slow) {
+  EXPECT_EQ(registry.counter(obs::metric::kExecSlowQueryCount)->value(),
+            requests.size());
+  const std::vector<obs::RetainedTrace> retained =
+      executor.telemetry().trace_store().Snapshot().records;
+  ASSERT_EQ(retained.size(), requests.size());
+  const std::map<std::uint64_t, obs::FlightRecord> flight =
+      FlightBySequence(executor);
+  std::map<std::uint64_t, int> seen;
+  for (const obs::RetainedTrace& trace : retained) {
+    EXPECT_EQ(trace.reason, obs::RetainReason::kSlow);
+    EXPECT_EQ(++seen[trace.sequence], 1) << "retained twice";
+    ASSERT_EQ(by_sequence.count(trace.sequence), 1u);
+    ASSERT_EQ(flight.count(trace.sequence), 1u);
     // Reuse path: the caller already paid for the trace, so the retained
-    // profile is that run — recapture time equals the original wall time.
-    EXPECT_DOUBLE_EQ(record.recapture_wall_seconds,
-                     record.summary.wall_seconds);
-    EXPECT_FALSE(record.profile.spans.empty());
+    // profile is the caller's copy of that same run.
+    const SkylineResult& result = *by_sequence.at(trace.sequence);
+    EXPECT_EQ(trace.profile.spans.size(), result.profile->spans.size());
+    EXPECT_EQ(trace.profile.TotalCounters(),
+              result.profile->TotalCounters());
+    EXPECT_DOUBLE_EQ(trace.wall_seconds,
+                     flight.at(trace.sequence).wall_seconds);
+    EXPECT_DOUBLE_EQ(trace.wall_seconds, result.stats.total_seconds);
   }
 }
 
@@ -244,10 +276,10 @@ TEST(ExecutorTelemetryTest, DisabledTelemetryRecordsNothing) {
   }
 
   EXPECT_FALSE(executor.telemetry().enabled());
-  EXPECT_EQ(executor.telemetry().flight_recorder().total_recorded(), 0u);
-  EXPECT_TRUE(executor.telemetry().SlowQueries().empty());
+  EXPECT_EQ(executor.telemetry().flight_recorder().Snapshot().total, 0u);
+  EXPECT_EQ(executor.telemetry().trace_store().Snapshot().total, 0u);
   EXPECT_EQ(registry.counter(obs::metric::kExecQueries)->value(), 0u);
-  EXPECT_EQ(registry.counter(obs::metric::kExecSlowQueries)->value(), 0u);
+  EXPECT_EQ(registry.counter(obs::metric::kExecSlowQueryCount)->value(), 0u);
   std::size_t histograms = 0;
   registry.ForEachHistogram(
       [&histograms](const std::string&, const obs::Histogram&) {

@@ -69,7 +69,7 @@ TEST(ExecutorTraceConservationTest, EveryFlightRecordKeepsItsTraceId) {
   // Conservation: the flight ring holds exactly the submitted ids, each
   // once.
   const std::vector<obs::FlightRecord> flight =
-      executor.telemetry().flight_recorder().Snapshot();
+      executor.telemetry().flight_recorder().Snapshot().records;
   ASSERT_EQ(flight.size(), kQueries);
   std::set<std::string> seen;
   char hex[33];
@@ -138,9 +138,9 @@ TEST(ExecutorTraceConservationTest, SlowAndTruncatedAlwaysRetained) {
   EXPECT_GT(truncated, 0u);
   // 100% retention: one trace per query, none dropped despite sampled
   // being false on every context.
-  EXPECT_EQ(executor.telemetry().trace_store().retained_total(), 16u);
-  for (const obs::RetainedTrace& trace :
-       executor.telemetry().trace_store().Snapshot()) {
+  const auto retained = executor.telemetry().trace_store().Snapshot();
+  EXPECT_EQ(retained.total, 16u);
+  for (const obs::RetainedTrace& trace : retained.records) {
     EXPECT_TRUE(trace.reason == obs::RetainReason::kSlow ||
                 trace.reason == obs::RetainReason::kTruncated ||
                 trace.reason == obs::RetainReason::kError);

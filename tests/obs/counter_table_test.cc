@@ -94,7 +94,8 @@ TEST(CounterTableTest, EveryRowFlowsEverywhere) {
     obs::FlightRecord record;
     record.counters = obs::ThreadLocalCounters() - thread_before;
     recorder.Record(record);
-    const std::vector<obs::FlightRecord> records = recorder.Snapshot();
+    const std::vector<obs::FlightRecord> records =
+        recorder.Snapshot().records;
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(RowDiff(records[0].counters, expected), "");
 

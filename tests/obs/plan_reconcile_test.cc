@@ -309,7 +309,7 @@ TEST(PlanReconcileTest, ExplainzJsonAggregatesPerAlgorithm) {
     store.Retain(std::move(entry));
   }
   EXPECT_EQ(store.accounted_total(), 3u);
-  EXPECT_EQ(store.retained_total(), 3u);
+  EXPECT_EQ(store.Snapshot().total, 3u);
   const std::string json = obs::ExplainzJson(store);
   EXPECT_TRUE(JsonValidator(json).Valid()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"pruning_efficiency\":["), std::string::npos);
@@ -349,8 +349,10 @@ TEST(PlanReconcileTest, PlanStoreKeepsTheMostRecentPlansBounded) {
     entry.plan.algorithm = "ce";
     store.Retain(std::move(entry));
   }
-  EXPECT_EQ(store.retained_total(), 6u);
-  const std::vector<obs::RetainedPlan> snapshot = store.Snapshot();
+  const auto window = store.Snapshot();
+  EXPECT_EQ(window.total, 6u);
+  EXPECT_EQ(window.evicted, 2u);
+  const std::vector<obs::RetainedPlan>& snapshot = window.records;
   ASSERT_EQ(snapshot.size(), 4u);
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     EXPECT_EQ(snapshot[i].sequence, i + 3);  // 3, 4, 5, 6 — oldest dropped

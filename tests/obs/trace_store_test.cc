@@ -53,12 +53,16 @@ TEST(TraceStoreTest, CapacityEvictsOldestFirst) {
   for (std::uint64_t i = 1; i <= 10; ++i) {
     store.Retain(MakeTrace(i, RetainReason::kHeadSampled));
   }
-  const std::vector<RetainedTrace> snapshot = store.Snapshot();
+  const std::vector<RetainedTrace> snapshot = store.Snapshot().records;
   ASSERT_EQ(snapshot.size(), 4u);
   EXPECT_EQ(snapshot.front().trace_id_lo, 7u);  // oldest survivor
   EXPECT_EQ(snapshot.back().trace_id_lo, 10u);
-  EXPECT_EQ(store.retained_total(), 10u);
-  EXPECT_EQ(store.evicted_total(), 6u);
+  const auto window = store.Snapshot();
+  EXPECT_EQ(window.total, 10u);
+  EXPECT_EQ(window.evicted, 6u);
+  EXPECT_NE(TracezJson(store).find("\"retained_total\":10,"
+                                   "\"evicted_total\":6,\"capacity\":4"),
+            std::string::npos);
   EXPECT_FALSE(store.Contains(0xabcdef0011223344ull, 1));
 }
 
@@ -132,8 +136,7 @@ TEST(WideEventTest, LogIsBoundedAndCountsTotals) {
   ASSERT_EQ(snapshot.size(), 3u);
   EXPECT_EQ(snapshot.front().request_id, "r2");
   EXPECT_EQ(snapshot.back().request_id, "r4");
-  EXPECT_EQ(log.total(), 5u);
-  EXPECT_NE(log.Json().find("\"total\":5"), std::string::npos);
+  EXPECT_NE(log.Json().find("\"total\":5}"), std::string::npos);
   // JSONL: one object per line, newline-terminated.
   const std::string jsonl = log.Jsonl();
   std::size_t lines = 0;
@@ -213,7 +216,7 @@ TEST(TailSamplingTest, RetentionPriorityErrorOverTruncatedOverSlow) {
   record.wall_seconds = 0.001;
   EXPECT_EQ(fx.telemetry->CompleteRequest(ctx, record, 0.0, "ce", {}),
             RetainReason::kHeadSampled);
-  EXPECT_EQ(fx.telemetry->trace_store().retained_total(), 4u);
+  EXPECT_EQ(fx.telemetry->trace_store().Snapshot().total, 4u);
 }
 
 TEST(TailSamplingTest, FastUnsampledRequestsAreDropped) {
@@ -222,13 +225,14 @@ TEST(TailSamplingTest, FastUnsampledRequestsAreDropped) {
   EXPECT_EQ(
       fx.telemetry->CompleteRequest(ctx, FastOkRecord(), 0.0, "ce", {}),
       RetainReason::kNone);
-  EXPECT_EQ(fx.telemetry->trace_store().retained_total(), 0u);
+  EXPECT_EQ(fx.telemetry->trace_store().Snapshot().total, 0u);
 }
 
-TEST(TailSamplingTest, SlowQueryLogFedWithoutReexecution) {
+TEST(TailSamplingTest, SlowQueryRetainedWithoutReexecution) {
   TelemetryFixture fx;
   const TraceContext ctx = TraceContext::Mint(/*sampled=*/false);
   FlightRecord record = FastOkRecord();
+  record.sequence = 7;
   record.wall_seconds = 0.200;  // past the 50 ms threshold
   QueryProfile profile;
   SpanRecord span;
@@ -238,12 +242,16 @@ TEST(TailSamplingTest, SlowQueryLogFedWithoutReexecution) {
   EXPECT_EQ(fx.telemetry->CompleteRequest(ctx, record, 0.0, "ce",
                                           std::move(profile)),
             RetainReason::kSlow);
-  const std::vector<SlowQueryRecord> slow = fx.telemetry->SlowQueries();
-  ASSERT_EQ(slow.size(), 1u);
-  // The log holds this run's own profile — capture never re-ran anything.
-  ASSERT_EQ(slow[0].profile.spans.size(), 1u);
-  EXPECT_EQ(slow[0].profile.spans[0].name, "ce");
-  EXPECT_DOUBLE_EQ(slow[0].recapture_wall_seconds, 0.200);
+  EXPECT_EQ(fx.registry.counter(metric::kExecSlowQueryCount)->value(), 1u);
+  const std::vector<RetainedTrace> retained =
+      fx.telemetry->trace_store().Snapshot().records;
+  ASSERT_EQ(retained.size(), 1u);
+  // The store holds this run's own profile — nothing was re-run.
+  EXPECT_EQ(retained[0].reason, RetainReason::kSlow);
+  EXPECT_EQ(retained[0].sequence, 7u);
+  ASSERT_EQ(retained[0].profile.spans.size(), 1u);
+  EXPECT_EQ(retained[0].profile.spans[0].name, "ce");
+  EXPECT_DOUBLE_EQ(retained[0].wall_seconds, 0.200);
 }
 
 TEST(TailSamplingTest, HeadSampleCoinHonorsRate) {

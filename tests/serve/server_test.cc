@@ -564,7 +564,7 @@ TEST(ServerTest, GracefulDrainFinishesInFlightWork) {
   EXPECT_EQ(stack.server->admission().completed(), kClients * kPerClient);
   EXPECT_EQ(stack.server->admission().CheckConservation(), "");
   // Flight recorder saw exactly the admitted queries.
-  EXPECT_EQ(stack.executor->telemetry().flight_recorder().total_recorded(),
+  EXPECT_EQ(stack.executor->telemetry().flight_recorder().Snapshot().total,
             stack.server->admission().admitted());
 }
 

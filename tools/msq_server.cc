@@ -456,7 +456,7 @@ int main(int argc, char** argv) {
     std::string out = "{\"traces\":[";
     bool first = true;
     for (const obs::RetainedTrace& trace :
-         executor->telemetry().trace_store().Snapshot()) {
+         executor->telemetry().trace_store().Snapshot().records) {
       if (!first) out += ",";
       first = false;
       out += "\n{\"trace_id\":\"" + trace.TraceIdHex() + "\",\"reason\":\"";
@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
     // array form diffs well in CI artifacts).
     std::string out = "[\n";
     const std::vector<obs::FlightRecord> flight =
-        executor->telemetry().flight_recorder().Snapshot();
+        executor->telemetry().flight_recorder().Snapshot().records;
     for (std::size_t i = 0; i < flight.size(); ++i) {
       char buf[256];
       std::snprintf(buf, sizeof(buf),
