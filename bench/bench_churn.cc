@@ -354,54 +354,8 @@ int main() {
   serve::ServerConfig server_config;
   server_config.admission.max_pending = 2 * env.clients + 2;
   server_config.admission.max_pending_cost = 64.0;
-  QueryExecutor* exec = &executor;
-  Workload* wl = &workload;
   server_config.mutation_handler =
-      [exec, wl](const serve::ServeRequest& req) {
-        serve::MutationResult out;
-        out.status =
-            exec->SubmitExclusive([wl, &req, &out] {
-                  switch (req.op) {
-                    case serve::ServeOp::kUpdateEdge: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument("edge out of range");
-                      }
-                      StatusOr<Dist> applied =
-                          wl->UpdateEdgeWeight(req.edge, req.length);
-                      if (!applied.ok()) return applied.status();
-                      out.applied_length = applied.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kInsertObject: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument("edge out of range");
-                      }
-                      if (req.offset >
-                          wl->network().EdgeAt(req.edge).length) {
-                        return Status::InvalidArgument(
-                            "offset beyond edge length");
-                      }
-                      StatusOr<ObjectId> id = wl->InsertObject(
-                          Location{req.edge, req.offset});
-                      if (!id.ok()) return id.status();
-                      out.object = id.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kDeleteObject: {
-                      StatusOr<bool> removed = wl->DeleteObject(req.object);
-                      if (!removed.ok()) return removed.status();
-                      out.removed = removed.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kQuery:
-                      break;
-                  }
-                  return Status::InvalidArgument("not a mutation");
-                })
-                .get();
-        out.data_epoch = wl->dataset().graph_pager->data_epoch();
-        return out;
-      };
+      serve::WorkloadMutationHandler(&executor, &workload);
   serve::MsqServer server(&executor, server_config);
   Status started = server.Start();
   if (!started.ok()) {

@@ -72,8 +72,8 @@ struct AblationPoint {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double page_reduction_vs_seed_pct = 0.0;
-  // Mean per-query wall ratio sequential/parallel on the same layout; 1.0
-  // for the sequential points.
+  // qps ratio parallel/sequential on the same layout; 1.0 for the
+  // sequential points.
   double source_parallel_speedup = 1.0;
   bool results_match_oracle = true;
 };
@@ -169,8 +169,8 @@ void WriteJson(const LayoutEnv& env, const std::vector<AblationPoint>& points) {
                "(the paper's disk-pages-accessed metric); every point's "
                "skyline checked byte-for-byte against the seed layout's "
                "sequential CE (itself cross-checked against LBC); "
-               "source_parallel_speedup is meaningless on a single-core "
-               "host and honestly reported as measured\",\n");
+               "source_parallel_speedup = parallel qps / sequential qps "
+               "on the same layout, as measured\",\n");
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const AblationPoint& p = points[i];
@@ -270,7 +270,7 @@ int main() {
       point.source_pool_threads = pool_threads;
       TaskPool pool(pool_threads);
       MeasurePoint(*workload, specs, oracle, &pool, &point);
-      // Per-query wall ratio against the sequential point on the SAME
+      // Throughput ratio against the sequential point on the SAME
       // layout — the honest intra-query parallelism figure.
       for (const AblationPoint& seq : points) {
         if (seq.layout == point.layout && !seq.parallel_sources) {

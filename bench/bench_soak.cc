@@ -767,21 +767,8 @@ int main(int argc, char** argv) {
     (void)WriteFile(env.wide_out, server.wide_events().Jsonl());
   }
   if (!env.trace_out.empty()) {
-    // Same shape msq_server --trace-out writes (and
-    // tools/validate_telemetry.py checks): retained traces wrapping their
-    // Chrome-trace event arrays.
-    std::string out = "{\"traces\":[";
-    bool first = true;
-    for (const obs::RetainedTrace& trace :
-         executor.telemetry().trace_store().Snapshot().records) {
-      if (!first) out += ",";
-      first = false;
-      out += "\n{\"trace_id\":\"" + trace.TraceIdHex() + "\",\"reason\":\"";
-      out += obs::RetainReasonName(trace.reason);
-      out += "\",\"events\":" + obs::RetainedTraceChromeJson(trace) + "}";
-    }
-    out += "\n]}\n";
-    (void)WriteFile(env.trace_out, out);
+    (void)WriteFile(env.trace_out, obs::RetainedTraceDumpJson(
+                                       executor.telemetry().trace_store()));
   }
 
   if (violations > 0) {

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include "common/check.h"
 #include "obs/build_info.h"
 
 #include <algorithm>
@@ -11,18 +12,16 @@
 #include <vector>
 
 namespace msq::obs {
-namespace {
 
 void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
+  char buf[512];
   va_list args;
   va_start(args, fmt);
   const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
-  if (n > 0) out->append(buf, static_cast<std::size_t>(n));
+  MSQ_CHECK(n >= 0 && static_cast<std::size_t>(n) < sizeof(buf));
+  out->append(buf, static_cast<std::size_t>(n));
 }
-
-}  // namespace
 
 std::string JsonEscape(std::string_view s) {
   std::string out;

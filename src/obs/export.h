@@ -16,6 +16,11 @@ namespace msq::obs {
 // backslashes, control characters).
 std::string JsonEscape(std::string_view s);
 
+// Appends printf-formatted text to `*out`; the text must be shorter than
+// 512 bytes (checked).
+void AppendF(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 // Chrome trace_event format: a JSON array of complete ("ph":"X") events,
 // one per span, with the span's self counters in "args". Loads directly in
 // chrome://tracing / Perfetto.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <initializer_list>
 #include <map>
@@ -13,34 +12,6 @@
 
 namespace msq::obs {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(out, "\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 std::string Mismatch(const std::string& what, const char* side,
                      std::uint64_t got, std::uint64_t expected) {
@@ -205,8 +176,7 @@ std::string ReconcileProfile(const QueryProfile& profile,
 }
 
 std::string PlanJson(const ExecutionPlan& plan) {
-  std::string out = "{\"algorithm\":\"";
-  AppendEscaped(&out, plan.algorithm);
+  std::string out = "{\"algorithm\":\"" + JsonEscape(plan.algorithm);
   AppendF(&out, "\",\"total_seconds\":%.6f,\"truncated\":%s",
           plan.total_seconds, plan.truncated ? "true" : "false");
   AppendF(&out,
@@ -246,8 +216,7 @@ std::string PlanJson(const ExecutionPlan& plan) {
   for (std::size_t i = 0; i < plan.phases.size(); ++i) {
     const PlanPhase& phase = plan.phases[i];
     if (i > 0) out += ",";
-    out += "{\"name\":\"";
-    AppendEscaped(&out, phase.name);
+    out += "{\"name\":\"" + JsonEscape(phase.name);
     AppendF(&out,
             "\",\"seconds\":%.6f,\"network_page_accesses\":%" PRIu64
             ",\"index_page_accesses\":%" PRIu64 ",\"settled_nodes\":%" PRIu64
@@ -336,8 +305,7 @@ std::string ExplainzJson(const PlanStore& store) {
             ? 0.0
             : static_cast<double>(agg.bound_pct_sum) /
                   static_cast<double>(agg.bound_samples);
-    out += "{\"algorithm\":\"";
-    AppendEscaped(&out, algo);
+    out += "{\"algorithm\":\"" + JsonEscape(algo);
     AppendF(&out,
             "\",\"queries\":%" PRIu64 ",\"dominance_tests\":%" PRIu64
             ",\"dominance_avoided\":%" PRIu64 ",\"avoided_ratio\":%.4f"
@@ -352,7 +320,7 @@ std::string ExplainzJson(const PlanStore& store) {
     if (i > 0) out += ",";
     AppendF(&out, "{\"sequence\":%" PRIu64 ",\"trace_id\":\"",
             plans[i].sequence);
-    AppendEscaped(&out, plans[i].trace_id);
+    out += JsonEscape(plans[i].trace_id);
     out += "\",\"plan\":";
     out += PlanJson(plans[i].plan);
     out += "}";

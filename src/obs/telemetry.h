@@ -44,8 +44,8 @@
 namespace msq::obs {
 
 struct TelemetryConfig {
-  // false turns every telemetry call into a no-op (the baseline mode the
-  // throughput bench measures overhead against).
+  // false turns every telemetry call into a no-op (the baseline
+  // perfbench's obs.telemetry_overhead_pct is measured against).
   bool enabled = true;
   std::size_t flight_capacity = FlightRecorder::kDefaultCapacity;
   // Slow-query thresholds; 0 disables the respective trigger. A query is

@@ -1,30 +1,13 @@
 #include "obs/trace_store.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
 #include "obs/export.h"
+#include "obs/request_context.h"
 
 namespace msq::obs {
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<std::size_t>(n));
-}
-
-void AppendHex(std::string* out, std::uint64_t value, int digits) {
-  static const char kHex[] = "0123456789abcdef";
-  for (int shift = (digits - 1) * 4; shift >= 0; shift -= 4) {
-    out->push_back(kHex[(value >> shift) & 0xF]);
-  }
-}
 
 // One Chrome trace_event complete event. `ts`/`dur` in microseconds.
 void AppendEvent(std::string* out, bool* first, std::string_view name,
@@ -65,11 +48,7 @@ std::string_view RetainReasonName(RetainReason reason) {
 }
 
 std::string RetainedTrace::TraceIdHex() const {
-  std::string out;
-  out.reserve(32);
-  AppendHex(&out, trace_id_hi, 16);
-  AppendHex(&out, trace_id_lo, 16);
-  return out;
+  return TraceContext{trace_id_hi, trace_id_lo}.TraceIdHex();
 }
 
 std::optional<RetainedTrace> TraceStore::Find(
@@ -141,6 +120,20 @@ std::string TracezJson(const TraceStore& store) {
   AppendF(&out, ",\"evicted_total\":%" PRIu64, window.evicted);
   AppendF(&out, ",\"capacity\":%zu", store.capacity());
   out += "}";
+  return out;
+}
+
+std::string RetainedTraceDumpJson(const TraceStore& store) {
+  std::string out = "{\"traces\":[";
+  bool first = true;
+  for (const RetainedTrace& trace : store.Snapshot().records) {
+    if (!first) out += ",";
+    first = false;
+    out += "\n{\"trace_id\":\"" + trace.TraceIdHex() + "\",\"reason\":\"";
+    out += RetainReasonName(trace.reason);
+    out += "\",\"events\":" + RetainedTraceChromeJson(trace) + "}";
+  }
+  out += "\n]}\n";
   return out;
 }
 

@@ -105,6 +105,11 @@ std::string RetainedTraceChromeJson(const RetainedTrace& trace);
 // payloads) plus store totals, all from one snapshot.
 std::string TracezJson(const TraceStore& store);
 
+// The retained-trace dump that validate_telemetry.py --trace-dump checks:
+// {"traces":[{"trace_id","reason","events":RetainedTraceChromeJson}]},
+// oldest first, from one snapshot.
+std::string RetainedTraceDumpJson(const TraceStore& store);
+
 // One canonical wide event per served request. All *_ms stage fields are
 // wall milliseconds; stages are disjoint (queue is admission->execute
 // start, parse is JSON parse, write is the response write syscall window).

@@ -10,9 +10,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "common/check.h"
 #include "obs/build_info.h"
 #include "obs/export.h"
@@ -736,18 +733,16 @@ namespace {
 // FlightRecord field names so the bundle joins against DESIGN.md §12.
 void AppendFlightRecordJson(std::string* out,
                             const obs::FlightRecord& record) {
-  char buf[64];
   *out += "{\"sequence\":";
   AppendJsonNumber(out, static_cast<double>(record.sequence));
   *out += ",\"algo\":\"";
   *out += AlgorithmName(static_cast<Algorithm>(record.algorithm));
   *out += "\"";
   if (record.trace_id_hi != 0 || record.trace_id_lo != 0) {
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64 "%016" PRIx64,
-                  record.trace_id_hi, record.trace_id_lo);
-    *out += ",\"trace_id\":\"";
-    *out += buf;
-    *out += "\"";
+    *out += ",\"trace_id\":\"" +
+            obs::TraceContext{record.trace_id_hi, record.trace_id_lo}
+                .TraceIdHex() +
+            "\"";
   }
   *out += ",\"status_code\":";
   AppendJsonNumber(out, record.status_code);
@@ -859,6 +854,48 @@ std::string MsqServer::DebugzJson() const {
   out += obs::ExplainzJson(telemetry.plans());
   out += "}";
   return out;
+}
+
+MutationHandler WorkloadMutationHandler(QueryExecutor* executor,
+                                        Workload* workload) {
+  return [executor, workload](const ServeRequest& req) {
+    MutationResult out;
+    out.status = executor->SubmitExclusive([&]() -> Status {
+      const bool names_edge = req.op == ServeOp::kUpdateEdge ||
+                              req.op == ServeOp::kInsertObject;
+      if (names_edge && req.edge >= workload->network().edge_count()) {
+        return Status::InvalidArgument(
+            "edge " + std::to_string(req.edge) + " out of range");
+      }
+      switch (req.op) {
+        case ServeOp::kUpdateEdge: {
+          StatusOr<Dist> applied =
+              workload->UpdateEdgeWeight(req.edge, req.length);
+          if (applied.ok()) out.applied_length = applied.value();
+          return applied.status();
+        }
+        case ServeOp::kInsertObject: {
+          if (req.offset > workload->network().EdgeAt(req.edge).length) {
+            return Status::InvalidArgument("offset beyond edge length");
+          }
+          StatusOr<ObjectId> id =
+              workload->InsertObject(Location{req.edge, req.offset});
+          if (id.ok()) out.object = id.value();
+          return id.status();
+        }
+        case ServeOp::kDeleteObject: {
+          StatusOr<bool> removed = workload->DeleteObject(req.object);
+          if (removed.ok()) out.removed = removed.value();
+          return removed.status();
+        }
+        case ServeOp::kQuery:
+          break;
+      }
+      return Status::InvalidArgument("not a mutation");
+    }).get();
+    out.data_epoch = workload->dataset().graph_pager->data_epoch();
+    return out;
+  };
 }
 
 }  // namespace msq::serve

@@ -56,6 +56,7 @@
 #include <utility>
 
 #include "exec/query_executor.h"
+#include "gen/workloads.h"
 #include "obs/request_context.h"
 #include "obs/trace_store.h"
 #include "serve/admission.h"
@@ -84,8 +85,7 @@ struct ServerConfig {
   double default_deadline_ms = 0.0;
   AdmissionConfig admission;
   // Executes parsed mutation requests ("op" field, serve/request.h) —
-  // typically a closure over the owning Workload that runs the mutation
-  // through QueryExecutor::SubmitExclusive. Null (the default) rejects
+  // typically WorkloadMutationHandler below. Null (the default) rejects
   // every mutation with INVALID_ARGUMENT; queries are unaffected.
   MutationHandler mutation_handler;
   // Registry served by GET /metrics; null = GlobalMetrics(). Should match
@@ -94,6 +94,14 @@ struct ServerConfig {
   // Bounded ring of canonical wide events (GET /requestz).
   std::size_t wide_event_capacity = obs::WideEventLog::kDefaultCapacity;
 };
+
+// Applies each mutation to `workload` under `executor`'s exclusive write
+// barrier (QueryExecutor::SubmitExclusive), blocking the connection
+// thread, not the pool. An edge out of range or an insert offset beyond
+// the edge's length is INVALID_ARGUMENT and changes nothing. Both
+// pointers are borrowed and must outlive the server.
+MutationHandler WorkloadMutationHandler(QueryExecutor* executor,
+                                        Workload* workload);
 
 class MsqServer {
  public:

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,55 +41,8 @@ struct ServerStack {
     config.registry = &registry;
     config.admission.registry = &registry;
     if (with_mutations) {
-      // The production wiring (tools/msq_server.cc): mutations run under
-      // the executor's exclusive barrier against the owning Workload.
-      QueryExecutor* exec = executor.get();
-      Workload* wl = workload.get();
-      config.mutation_handler = [exec, wl](const ServeRequest& req) {
-        MutationResult out;
-        out.status =
-            exec->SubmitExclusive([wl, &req, &out] {
-                  switch (req.op) {
-                    case ServeOp::kUpdateEdge: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument("edge out of range");
-                      }
-                      StatusOr<Dist> applied =
-                          wl->UpdateEdgeWeight(req.edge, req.length);
-                      if (!applied.ok()) return applied.status();
-                      out.applied_length = applied.value();
-                      return Status();
-                    }
-                    case ServeOp::kInsertObject: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument("edge out of range");
-                      }
-                      if (req.offset >
-                          wl->network().EdgeAt(req.edge).length) {
-                        return Status::InvalidArgument(
-                            "offset beyond edge length");
-                      }
-                      StatusOr<ObjectId> id =
-                          wl->InsertObject(Location{req.edge, req.offset});
-                      if (!id.ok()) return id.status();
-                      out.object = id.value();
-                      return Status();
-                    }
-                    case ServeOp::kDeleteObject: {
-                      StatusOr<bool> removed = wl->DeleteObject(req.object);
-                      if (!removed.ok()) return removed.status();
-                      out.removed = removed.value();
-                      return Status();
-                    }
-                    case ServeOp::kQuery:
-                      break;
-                  }
-                  return Status::InvalidArgument("not a mutation");
-                })
-                .get();
-        out.data_epoch = wl->dataset().graph_pager->data_epoch();
-        return out;
-      };
+      config.mutation_handler =
+          WorkloadMutationHandler(executor.get(), workload.get());
     }
     server = std::make_unique<MsqServer>(executor.get(), config);
     start_status = server->Start();
@@ -683,6 +637,34 @@ TEST(ServerTest, InvalidMutationTargetFailsWithoutCrash) {
   EXPECT_EQ(stack.registry.counter(metric::kServeMutationsApplied)->value(),
             1u);
   EXPECT_EQ(stack.server->admission().CheckConservation(), "");
+}
+
+TEST(ServerTest, InsertObjectRejectsBadEdgeAndOffset) {
+  ServerStack stack({}, /*workers=*/2, /*with_mutations=*/true);
+  ASSERT_TRUE(stack.start_status.ok());
+  Workload& workload = *stack.workload;
+  const std::uint64_t epoch = workload.dataset().graph_pager->data_epoch();
+  const std::size_t objects = workload.objects().size();
+  const std::string past_end =
+      std::to_string(workload.network().EdgeAt(5).length + 1.0);
+  const std::pair<std::string, std::string> cases[] = {
+      {"{\"op\":\"insert_object\",\"edge\":999999,\"offset\":0}",
+       "edge 999999 out of range"},
+      {"{\"op\":\"insert_object\",\"edge\":5,\"offset\":" + past_end + "}",
+       "offset beyond edge length"}};
+  const int fd = Connect(stack).value();
+  for (const auto& [request, message] : cases) {
+    const JsonValue reply = ParseJson(RoundTrip(fd, request).value()).value();
+    const JsonValue* error = reply.Find("error");
+    ASSERT_NE(error, nullptr) << request;
+    EXPECT_EQ(error->Find("code")->AsString(), "INVALID_ARGUMENT");
+    EXPECT_EQ(error->Find("message")->AsString(), message);
+  }
+  ::close(fd);
+  stack.server->Shutdown();
+  // Rejected before the workload is touched: no epoch bump, no object.
+  EXPECT_EQ(workload.dataset().graph_pager->data_epoch(), epoch);
+  EXPECT_EQ(workload.objects().size(), objects);
 }
 
 TEST(ServerTest, HttpPostCarriesMutations) {

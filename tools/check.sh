@@ -11,10 +11,10 @@
 #                   ConcurrentHammer / Cache / parallel-source tests — the
 #                   multi-threaded code paths)
 #
-# Also validates that the committed BENCH_throughput.json and
-# BENCH_layout.json carry their host metadata (hardware_concurrency) and
-# build-info stamp (git sha, compiler, flags), so benchmark numbers are
-# never read without knowing what produced them. In asan mode, a short chaos soak then writes the
+# Also validates that the committed BENCH_layout.json carries its host
+# metadata (hardware_concurrency) and build-info stamp (git sha, compiler,
+# flags), so benchmark numbers are never read without knowing what
+# produced them. In asan mode, a short chaos soak then writes the
 # wide-event JSONL and retained-trace dumps and runs them through
 # tools/validate_telemetry.py (skipped with a warning if python3 is
 # missing), followed by a short bench_churn run (mutations interleaved
@@ -45,19 +45,13 @@ esac
 
 # Bench metadata gate: committed benchmark numbers must state the core
 # count of the host that produced them and carry a build-info stamp (the
-# bench binaries embed both; a file without them predates the fields or
+# bench binary embeds both; a file without them predates the fields or
 # was hand-edited).
-for bench_json in "$repo_root/BENCH_throughput.json" \
-                  "$repo_root/BENCH_layout.json"; do
-  [[ -f "$bench_json" ]] || continue
-  if ! grep -q '"hardware_concurrency"' "$bench_json"; then
-    echo "check.sh: $bench_json lacks \"hardware_concurrency\" —" \
-         "re-run its bench binary to regenerate it" >&2
-    exit 1
-  fi
-  if ! grep -q '"build_info"' "$bench_json"; then
-    echo "check.sh: $bench_json lacks the \"build_info\" stamp —" \
-         "re-run its bench binary to regenerate it" >&2
+bench_json="$repo_root/BENCH_layout.json"
+for field in hardware_concurrency build_info; do
+  if [[ -f "$bench_json" ]] && ! grep -q "\"$field\"" "$bench_json"; then
+    echo "check.sh: $bench_json lacks \"$field\" —" \
+         "re-run bench_layout to regenerate it" >&2
     exit 1
   fi
 done

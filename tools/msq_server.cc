@@ -300,64 +300,8 @@ int main(int argc, char** argv) {
                                                opts.workers, telemetry);
   }
 
-  // Mutations run through the executor's exclusive write barrier: the
-  // worker that claims one waits out every in-flight query, applies the
-  // workload mutation (which bumps the pager's data_epoch and thereby
-  // invalidates cached wavefronts/memos), and only then lets queries flow
-  // again. The handler blocks its connection thread, not the pool.
-  QueryExecutor* exec = executor.get();
-  Workload* wl = &workload;
   opts.server.mutation_handler =
-      [exec, wl](const serve::ServeRequest& req) {
-        serve::MutationResult out;
-        out.status =
-            exec->SubmitExclusive([wl, &req, &out] {
-                  switch (req.op) {
-                    case serve::ServeOp::kUpdateEdge: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument(
-                            "edge " + std::to_string(req.edge) +
-                            " out of range");
-                      }
-                      StatusOr<Dist> applied =
-                          wl->UpdateEdgeWeight(req.edge, req.length);
-                      if (!applied.ok()) return applied.status();
-                      out.applied_length = applied.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kInsertObject: {
-                      if (req.edge >= wl->network().edge_count()) {
-                        return Status::InvalidArgument(
-                            "edge " + std::to_string(req.edge) +
-                            " out of range");
-                      }
-                      if (req.offset >
-                          wl->network().EdgeAt(req.edge).length) {
-                        return Status::InvalidArgument(
-                            "offset beyond edge length");
-                      }
-                      StatusOr<ObjectId> id = wl->InsertObject(
-                          Location{req.edge, req.offset});
-                      if (!id.ok()) return id.status();
-                      out.object = id.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kDeleteObject: {
-                      StatusOr<bool> removed =
-                          wl->DeleteObject(req.object);
-                      if (!removed.ok()) return removed.status();
-                      out.removed = removed.value();
-                      return Status();
-                    }
-                    case serve::ServeOp::kQuery:
-                      break;
-                  }
-                  return Status::InvalidArgument("not a mutation");
-                })
-                .get();
-        out.data_epoch = wl->dataset().graph_pager->data_epoch();
-        return out;
-      };
+      serve::WorkloadMutationHandler(executor.get(), &workload);
 
   opts.server.port = static_cast<std::uint16_t>(opts.port);
   serve::MsqServer server(executor.get(), opts.server);
@@ -452,19 +396,10 @@ int main(int argc, char** argv) {
       !WriteFile(opts.wide_out, server.wide_events().Jsonl())) {
     return 1;
   }
-  if (!opts.trace_out.empty()) {
-    std::string out = "{\"traces\":[";
-    bool first = true;
-    for (const obs::RetainedTrace& trace :
-         executor->telemetry().trace_store().Snapshot().records) {
-      if (!first) out += ",";
-      first = false;
-      out += "\n{\"trace_id\":\"" + trace.TraceIdHex() + "\",\"reason\":\"";
-      out += obs::RetainReasonName(trace.reason);
-      out += "\",\"events\":" + obs::RetainedTraceChromeJson(trace) + "}";
-    }
-    out += "\n]}\n";
-    if (!WriteFile(opts.trace_out, out)) return 1;
+  if (!opts.trace_out.empty() &&
+      !WriteFile(opts.trace_out, obs::RetainedTraceDumpJson(
+                                     executor->telemetry().trace_store()))) {
+    return 1;
   }
   if (!opts.flight_out.empty()) {
     // Flight dump: one JSON array of records, one record per line (the
