@@ -2,37 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace msq {
-namespace {
-
-// Single-source distances on the in-memory adjacency.
-std::vector<Dist> Sweep(const RoadNetwork& network, NodeId source) {
-  std::vector<Dist> dist(network.node_count(), kInfDist);
-  using Item = std::pair<Dist, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[source] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, node] = heap.top();
-    heap.pop();
-    if (d > dist[node]) continue;
-    for (const AdjacencyEntry& adj : network.Adjacent(node)) {
-      const Dist nd = d + adj.length;
-      if (nd < dist[adj.neighbor]) {
-        dist[adj.neighbor] = nd;
-        heap.emplace(nd, adj.neighbor);
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 LandmarkIndex::LandmarkIndex(const RoadNetwork* network, std::size_t count,
                              std::uint64_t seed)
@@ -51,7 +25,7 @@ LandmarkIndex::LandmarkIndex(const RoadNetwork* network, std::size_t count,
   std::vector<Dist> to_set;  // min distance to any chosen landmark
   for (std::size_t i = 0; i < count; ++i) {
     landmarks_.push_back(current);
-    distances_.push_back(Sweep(*network, current));
+    distances_.push_back(network->NodeDistances(current));
     const std::vector<Dist>& latest = distances_.back();
     if (i == 0) {
       to_set = latest;
@@ -76,7 +50,7 @@ LandmarkIndex::LandmarkIndex(const RoadNetwork* network, std::size_t count,
 
 void LandmarkIndex::Resweep() {
   for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    distances_[i] = Sweep(*network_, landmarks_[i]);
+    distances_[i] = network_->NodeDistances(landmarks_[i]);
   }
 }
 

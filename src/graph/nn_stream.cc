@@ -33,9 +33,13 @@ NetworkNnStream::NetworkNnStream(const GraphPager* pager,
     // Resume: the snapshot's per-object estimates already include every
     // offer made while its wavefront grew (source-edge objects included).
     // Re-seed the emission heap from them; expansion continues from the
-    // checkpointed frontier only when the radius must grow.
-    MSQ_CHECK(resume->object_best.size() == mapping->object_count());
+    // checkpointed frontier only when the radius must grow. Objects
+    // inserted since the snapshot are padded as undiscovered: the cache
+    // keeps a snapshot across an insert only when no settled node and not
+    // the source edge touches the new object's edge (DESIGN.md §16).
+    MSQ_CHECK(resume->object_best.size() <= mapping->object_count());
     best_ = resume->object_best;
+    best_.resize(mapping->object_count(), kInfDist);
     heap_.reserve(best_.size());
     for (ObjectId id = 0; id < best_.size(); ++id) {
       if (std::isfinite(best_[id])) heap_.push_back(HeapItem{best_[id], id});

@@ -53,8 +53,9 @@ class NetworkNnStream {
   // Streams objects of `mapping` by network distance from `source`.
   // Neither pointer is owned. When `resume` is non-null it must have been
   // snapshotted from a stream with the same source over the same network
-  // and object set (asserted by size); the new stream copies it and the
-  // snapshot may be freed afterwards. `memo` (not owned) serves the
+  // and object set, or a prefix of it (objects inserted since, which the
+  // snapshot has not discovered, are padded with kInfDist); the new stream
+  // copies it and the snapshot may be freed afterwards. `memo` (not owned) serves the
   // middle-layer lookups and may be shared by streams of one query that
   // run on one thread; when null the stream keeps a memo of its own.
   NetworkNnStream(const GraphPager* pager, const SpatialMapping* mapping,

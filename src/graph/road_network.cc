@@ -240,4 +240,35 @@ bool RoadNetwork::SaveToEdgeListFile(const std::string& path) const {
   return true;
 }
 
+std::vector<Dist> RoadNetwork::NodeDistances(NodeId source, EdgeId skip,
+                                             Dist radius) const {
+  struct Item {
+    Dist dist;
+    NodeId node;
+  };
+  const auto later = [](const Item& a, const Item& b) {
+    return a.dist > b.dist;
+  };
+  std::vector<Dist> dist(node_count(), kInfDist);
+  std::vector<Item> heap;
+  dist[source] = 0.0;
+  heap.push_back({0.0, source});
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const Item top = heap.back();
+    heap.pop_back();
+    if (top.dist > dist[top.node]) continue;
+    if (top.dist > radius) break;
+    for (const AdjacencyEntry& adj : Adjacent(top.node)) {
+      const Dist next = top.dist + adj.length;
+      if (next < dist[adj.neighbor] && adj.edge != skip) {
+        dist[adj.neighbor] = next;
+        heap.push_back({next, adj.neighbor});
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+  }
+  return dist;
+}
+
 }  // namespace msq

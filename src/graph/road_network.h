@@ -117,6 +117,13 @@ class RoadNetwork {
       const;
   bool IsConnected() const;
 
+  // Single-source distances from `source` to every node over the in-memory
+  // adjacency, never crossing edge `skip` (kInvalidEdge: none). Exact for
+  // every node within `radius`; a node beyond it keeps an upper bound or
+  // kInfDist, and its true distance exceeds `radius`. Requires Finalize().
+  std::vector<Dist> NodeDistances(NodeId source, EdgeId skip = kInvalidEdge,
+                                  Dist radius = kInfDist) const;
+
   // --- persistence --------------------------------------------------
 
   // Plain-text format: first line "N M"; then N lines "x y"; then M lines

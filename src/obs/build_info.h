@@ -12,7 +12,8 @@
 namespace msq::obs {
 
 struct BuildInfo {
-  std::string_view git_sha;     // short revision, "unknown" outside git
+  std::string_view git_sha;     // git describe --always --dirty; "unknown"
+                                // outside git
   std::string_view compiler;    // id + version, e.g. "GNU 13.2.0"
   std::string_view flags;       // CXX flags incl. the sanitizer setting
   std::string_view build_type;  // CMAKE_BUILD_TYPE

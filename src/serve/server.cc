@@ -727,10 +727,6 @@ std::string MsqServer::HealthzJson() const {
   return out;
 }
 
-namespace {
-
-// One flight-ring record for the /debugz bundle. Counters keep the
-// FlightRecord field names so the bundle joins against DESIGN.md §12.
 void AppendFlightRecordJson(std::string* out,
                             const obs::FlightRecord& record) {
   *out += "{\"sequence\":";
@@ -775,6 +771,8 @@ void AppendFlightRecordJson(std::string* out,
   AppendJsonNumber(out, static_cast<double>(c.cache_misses()));
   *out += "}";
 }
+
+namespace {
 
 // MetricsJsonl emits one JSON object per line; the bundle wants them as
 // one array value.

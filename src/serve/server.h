@@ -103,6 +103,11 @@ struct ServerConfig {
 MutationHandler WorkloadMutationHandler(QueryExecutor* executor,
                                         Workload* workload);
 
+// Appends one flight-ring record as a JSON object: the record format of
+// the /debugz bundle's "flight" section and of msq_server --flight-out.
+// Counters keep the FlightRecord field names (DESIGN.md §12).
+void AppendFlightRecordJson(std::string* out, const obs::FlightRecord& record);
+
 class MsqServer {
  public:
   // `executor` is borrowed and must outlive the server.

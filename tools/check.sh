@@ -19,7 +19,10 @@
 # tools/validate_telemetry.py (skipped with a warning if python3 is
 # missing), followed by a short bench_churn run (mutations interleaved
 # with queries; the binary gates on conservation, epoch monotonicity, the
-# warm-vs-cold oracle, and bounded page growth).
+# warm-vs-cold oracle, and bounded page growth). Both modes then run the
+# cache-under-churn differential suite on a longer budget than ctest's
+# (more seeds and steps; a failure prints the seed to replay with
+# MSQ_CACHE_CHURN_SEED).
 #
 # The build dir defaults to build-asan/ or build-tsan/ next to the source
 # tree, so `tools/check.sh build-asan` (the CI invocation) keeps working.
@@ -96,6 +99,16 @@ run_churn() {
     "$build_dir/bench/bench_churn"
 }
 
+run_cache_churn() {
+  # Cache + churn differential suite, longer budget: every warm answer
+  # against a cold cacheless run, every carried memo slot and snapshot
+  # label against naive Dijkstra (tests/integration/
+  # cache_churn_differential_test.cc).
+  MSQ_CACHE_CHURN_SEEDS="$1" MSQ_CACHE_CHURN_OPS="$2" \
+    "$build_dir/tests/msq_tests" \
+      --gtest_filter='CacheChurnDifferentialTest.*'
+}
+
 if [[ "$mode" == "tsan" ]]; then
   # TSan's scheduler interleaving makes the full suite slow; the
   # single-threaded tests gain nothing from it, so gate on the suites that
@@ -103,12 +116,14 @@ if [[ "$mode" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
       -R "Concurrency|Executor|Hammer|Cache|ServerTest|AdmissionTest|DeadlineRace|Parallel"
+  TSAN_OPTIONS="halt_on_error=1" run_cache_churn 6 200
 else
   # halt_on_error makes UBSan findings fail the run instead of just logging.
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   validate_telemetry
   run_churn
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" run_cache_churn 12 300
 fi
 
 echo "check.sh: $mode build + tests clean"

@@ -404,19 +404,12 @@ int main(int argc, char** argv) {
   if (!opts.flight_out.empty()) {
     // Flight dump: one JSON array of records, one record per line (the
     // array form diffs well in CI artifacts).
+    // Records are written as the /debugz bundle writes them.
     std::string out = "[\n";
     const std::vector<obs::FlightRecord> flight =
         executor->telemetry().flight_recorder().Snapshot().records;
     for (std::size_t i = 0; i < flight.size(); ++i) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"sequence\":%llu,\"algorithm\":%u,"
-                    "\"status_code\":%d,\"truncation\":%u,"
-                    "\"wall_seconds\":%.6f}",
-                    (unsigned long long)flight[i].sequence,
-                    flight[i].algorithm, flight[i].status_code,
-                    flight[i].truncation, flight[i].wall_seconds);
-      out += buf;
+      serve::AppendFlightRecordJson(&out, flight[i]);
       out += i + 1 < flight.size() ? ",\n" : "\n";
     }
     out += "]\n";
