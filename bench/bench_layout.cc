@@ -1,14 +1,13 @@
 // Storage-layout ablation (DESIGN.md §15): cold I/O and latency of the
 // seed layout (Morton-ordered row pages) vs Hilbert node relabeling vs
-// Hilbert + CSR-compressed adjacency pages, plus intra-query source
-// parallelism on the best layout, on the paper's CA network.
+// Hilbert + CSR-compressed adjacency pages, on the paper's CA network.
 //
 // Every point runs the same query set through CE with cold buffers per
 // query and checks the skyline byte-for-byte against the seed layout's
-// sequential results (which are themselves cross-checked against LBC), so
-// a layout or parallelism bug can never masquerade as a speedup. The
-// "pages" figure of merit is QueryStats::network_pages — buffer MISSES,
-// the paper's "disk pages accessed" of Figures 5 and 6.
+// results (which are themselves cross-checked against LBC), so a layout
+// bug can never masquerade as a speedup. The "pages" figure of merit is
+// QueryStats::network_pages — buffer MISSES, the paper's "disk pages
+// accessed" of Figures 5 and 6.
 //
 // Environment:
 //   MSQ_BENCH_SCALE     scale of the CA dataset (default 1.0 = the
@@ -27,7 +26,6 @@
 #include "bench_common.h"
 #include "bench_support/table.h"
 #include "core/skyline_query.h"
-#include "exec/task_pool.h"
 #include "gen/workloads.h"
 #include "obs/build_info.h"
 #include "obs/histogram.h"
@@ -62,8 +60,6 @@ LayoutEnv GetLayoutEnv() {
 
 struct AblationPoint {
   std::string layout;
-  bool parallel_sources = false;
-  std::size_t source_pool_threads = 0;
   std::size_t graph_pages_total = 0;
   double pages_per_query = 0.0;      // cold buffer misses (the paper metric)
   double accesses_per_query = 0.0;   // every buffer lookup (hits + misses)
@@ -72,9 +68,6 @@ struct AblationPoint {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double page_reduction_vs_seed_pct = 0.0;
-  // qps ratio parallel/sequential on the same layout; 1.0 for the
-  // sequential points.
-  double source_parallel_speedup = 1.0;
   bool results_match_oracle = true;
 };
 
@@ -112,12 +105,12 @@ bool SameSkylineSet(const SkylineResult& a, const SkylineResult& b) {
 }
 
 // Runs the query set cold (buffers reset per query) through CE and fills
-// the I/O + latency columns of `point`. `runner` enables source
-// parallelism; `oracle` is the seed layout's sequential results.
+// the I/O + latency columns of `point`. `oracle` is the seed layout's
+// results.
 void MeasurePoint(Workload& workload,
                   const std::vector<SkylineQuerySpec>& specs,
                   const std::vector<SkylineResult>& oracle,
-                  TaskRunner* runner, AblationPoint* point) {
+                  AblationPoint* point) {
   point->graph_pages_total = workload.dataset().graph_pager->page_count();
   std::uint64_t pages = 0;
   std::uint64_t accesses = 0;
@@ -125,11 +118,9 @@ void MeasurePoint(Workload& workload,
   double wall = 0.0;
   obs::Histogram latency_hist;
   for (std::size_t q = 0; q < specs.size(); ++q) {
-    SkylineQuerySpec spec = specs[q];
-    spec.runner = runner;
     workload.ResetBuffers();
     const SkylineResult result =
-        RunSkylineQuery(Algorithm::kCe, workload.dataset(), spec);
+        RunSkylineQuery(Algorithm::kCe, workload.dataset(), specs[q]);
     pages += result.stats.network_pages;
     accesses += result.stats.network_page_accesses;
     settled += result.stats.counters.settled_nodes;
@@ -155,12 +146,10 @@ void WriteJson(const LayoutEnv& env, const std::vector<AblationPoint>& points) {
     std::fprintf(stderr, "cannot open %s\n", env.out.c_str());
     return;
   }
-  const unsigned cores = std::thread::hardware_concurrency();
   std::fprintf(out, "{\n  \"bench\": \"layout_ablation\",\n");
   std::fprintf(out, "  \"build_info\": %s,\n", obs::BuildInfoJson().c_str());
-  std::fprintf(out, "  \"hardware_concurrency\": %u,\n", cores);
-  std::fprintf(out, "  \"single_core_host\": %s,\n",
-               cores <= 1 ? "true" : "false");
+  std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(out, "  \"network\": \"CA\",\n  \"scale\": %g,\n", env.scale);
   std::fprintf(out, "  \"queries\": %zu,\n  \"sources_per_query\": %zu,\n",
                env.queries, kSources);
@@ -168,27 +157,21 @@ void WriteJson(const LayoutEnv& env, const std::vector<AblationPoint>& points) {
                "  \"note\": \"pages = cold network buffer misses per query "
                "(the paper's disk-pages-accessed metric); every point's "
                "skyline checked byte-for-byte against the seed layout's "
-               "sequential CE (itself cross-checked against LBC); "
-               "source_parallel_speedup = parallel qps / sequential qps "
-               "on the same layout, as measured\",\n");
+               "CE (itself cross-checked against LBC)\",\n");
   std::fprintf(out, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const AblationPoint& p = points[i];
     std::fprintf(
         out,
-        "    {\"layout\": \"%s\", \"parallel_sources\": %s, "
-        "\"source_pool_threads\": %zu,\n"
+        "    {\"layout\": \"%s\",\n"
         "     \"graph_pages_total\": %zu, \"pages_per_query\": %.2f, "
         "\"accesses_per_query\": %.2f, \"settled_per_query\": %.2f,\n"
         "     \"qps\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f,\n"
         "     \"page_reduction_vs_seed_pct\": %.2f, "
-        "\"source_parallel_speedup\": %.3f, "
         "\"results_match_oracle\": %s}%s\n",
-        p.layout.c_str(), p.parallel_sources ? "true" : "false",
-        p.source_pool_threads, p.graph_pages_total, p.pages_per_query,
+        p.layout.c_str(), p.graph_pages_total, p.pages_per_query,
         p.accesses_per_query, p.settled_per_query, p.qps, p.p50_ms, p.p99_ms,
-        p.page_reduction_vs_seed_pct, p.source_parallel_speedup,
-        p.results_match_oracle ? "true" : "false",
+        p.page_reduction_vs_seed_pct, p.results_match_oracle ? "true" : "false",
         i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -200,16 +183,8 @@ void WriteJson(const LayoutEnv& env, const std::vector<AblationPoint>& points) {
 
 int main() {
   const LayoutEnv env = GetLayoutEnv();
-  const unsigned cores = std::thread::hardware_concurrency();
   std::printf("=== layout ablation: CA x %.2f, %zu queries, |Q|=%zu ===\n",
               env.scale, env.queries, kSources);
-  if (cores <= 1) {
-    std::printf(
-        "WARNING: single-core host (hardware_concurrency=%u) — the "
-        "parallel-sources point cannot show real speedup here; its "
-        "ratio is reported as measured, not extrapolated.\n",
-        cores);
-  }
 
   auto make_workload = [&env](GraphLayout layout) {
     WorkloadConfig config;
@@ -229,8 +204,8 @@ int main() {
     specs.push_back(seed_workload->SampleQuery(kSources, kQuerySeedBase + q));
   }
 
-  // Seed-layout sequential CE is the oracle; anchor it against LBC so the
-  // oracle itself is not a single-algorithm artifact.
+  // Seed-layout CE is the oracle; anchor it against LBC so the oracle
+  // itself is not a single-algorithm artifact.
   std::vector<SkylineResult> oracle;
   oracle.reserve(specs.size());
   bool oracle_anchored = true;
@@ -249,38 +224,13 @@ int main() {
   }
 
   std::vector<AblationPoint> points;
-  const std::size_t pool_threads =
-      cores > 1 ? std::min<std::size_t>(kSources, cores) : 1;
-  struct Config {
-    GraphLayout layout;
-    bool parallel;
-  };
-  const Config configs[] = {{GraphLayout::kSeed, false},
-                            {GraphLayout::kHilbert, false},
-                            {GraphLayout::kHilbertCsr, false},
-                            {GraphLayout::kHilbertCsr, true}};
-  for (const Config& config : configs) {
-    auto workload = config.layout == GraphLayout::kSeed
-                        ? std::move(seed_workload)
-                        : make_workload(config.layout);
+  for (const GraphLayout layout :
+       {GraphLayout::kSeed, GraphLayout::kHilbert, GraphLayout::kHilbertCsr}) {
+    auto workload = layout == GraphLayout::kSeed ? std::move(seed_workload)
+                                                 : make_workload(layout);
     AblationPoint point;
-    point.layout = GraphLayoutName(config.layout);
-    point.parallel_sources = config.parallel;
-    if (config.parallel) {
-      point.source_pool_threads = pool_threads;
-      TaskPool pool(pool_threads);
-      MeasurePoint(*workload, specs, oracle, &pool, &point);
-      // Throughput ratio against the sequential point on the SAME
-      // layout — the honest intra-query parallelism figure.
-      for (const AblationPoint& seq : points) {
-        if (seq.layout == point.layout && !seq.parallel_sources) {
-          point.source_parallel_speedup =
-              point.qps > 0.0 ? point.qps / seq.qps : 0.0;
-        }
-      }
-    } else {
-      MeasurePoint(*workload, specs, oracle, nullptr, &point);
-    }
+    point.layout = GraphLayoutName(layout);
+    MeasurePoint(*workload, specs, oracle, &point);
     if (!points.empty()) {
       point.page_reduction_vs_seed_pct =
           100.0 * (1.0 - point.pages_per_query / points[0].pages_per_query);
@@ -288,17 +238,15 @@ int main() {
     points.push_back(std::move(point));
   }
 
-  TablePrinter table({"layout", "par", "pages/q", "acc/q", "QPS", "p50(ms)",
-                      "p99(ms)", "reduc%", "speedup", "match"});
+  TablePrinter table({"layout", "pages/q", "acc/q", "QPS", "p50(ms)",
+                      "p99(ms)", "reduc%", "match"});
   for (const AblationPoint& p : points) {
-    table.AddRow({p.layout, p.parallel_sources ? "yes" : "no",
-                  TablePrinter::Fixed(p.pages_per_query, 1),
+    table.AddRow({p.layout, TablePrinter::Fixed(p.pages_per_query, 1),
                   TablePrinter::Fixed(p.accesses_per_query, 1),
                   TablePrinter::Fixed(p.qps, 1),
                   TablePrinter::Fixed(p.p50_ms, 3),
                   TablePrinter::Fixed(p.p99_ms, 3),
                   TablePrinter::Fixed(p.page_reduction_vs_seed_pct, 1),
-                  TablePrinter::Fixed(p.source_parallel_speedup, 2),
                   p.results_match_oracle ? "yes" : "NO"});
   }
   table.Print();

@@ -1,15 +1,12 @@
 #include "core/ce.h"
 
 #include <cmath>
-#include <exception>
 #include <memory>
 #include <span>
-#include <thread>
 
 #include "cache/query_cache.h"
 #include "common/check.h"
 #include "graph/nn_stream.h"
-#include "obs/metrics.h"
 
 namespace msq {
 namespace {
@@ -19,11 +16,8 @@ namespace {
 // records the consulted snapshots (null on miss) so the close path can
 // tell whether a stream actually grew.
 //
-// Sequential streams share `memo`, so an occupied edge reached by several
-// wavefronts is read from the middle layer once per query. Under a
-// TaskRunner the streams advance on several threads at once and the memo
-// is unsynchronized, so each stream keeps its own: its lookups then follow
-// its own emission sequence alone and stay deterministic.
+// The streams share `memo`, so an occupied edge reached by several
+// wavefronts is read from the middle layer once per query.
 std::vector<std::unique_ptr<NetworkNnStream>> OpenStreams(
     const Dataset& dataset, const SkylineQuerySpec& spec,
     EdgeObjectMemo* memo, std::vector<QueryCache::WavefrontPtr>* resumes) {
@@ -37,8 +31,7 @@ std::vector<std::unique_ptr<NetworkNnStream>> OpenStreams(
           source, dataset.graph_pager->data_epoch());
     }
     streams.push_back(std::make_unique<NetworkNnStream>(
-        dataset.graph_pager, dataset.mapping, source, resume.get(),
-        spec.runner == nullptr ? memo : nullptr));
+        dataset.graph_pager, dataset.mapping, source, resume.get(), memo));
     resumes->push_back(std::move(resume));
   }
   return streams;
@@ -61,130 +54,6 @@ void StoreStreams(
     dataset.cache->StoreWavefront(spec.sources[q], streams[q]->MakeSnapshot(),
                                   dataset.graph_pager->data_epoch());
   }
-}
-
-// Hands per-source emissions to the round-robin merge loop.
-//
-// Sequential mode (null runner) forwards Next() straight to the stream —
-// byte-identical to the historical code path, page access order included.
-//
-// Parallel mode exploits that each source's emission sequence is a pure
-// function of (source, object set, graph): whenever a buffer runs dry,
-// every live source produces its next chunk of emissions as one TaskRunner
-// task, and the merge loop then REPLAYS the buffered emissions in the
-// exact round-robin order the sequential code consumes. The merged
-// sequence — and everything derived from it, skyline included — is
-// byte-identical to sequential execution; only the read-ahead differs, so
-// page/settle counters can exceed a sequential run's (deterministically:
-// chunk boundaries depend on consumption order, not thread scheduling).
-//
-// Accounting: a production task snapshots its thread's ThreadCounters
-// around the work and the consuming thread absorbs the delta at the
-// refill barrier, so the query's StatsScope/QueryGuard/TraceSession
-// windows stay exact (deltas from tasks the consumer helped run inline
-// are already in its block and are not re-absorbed). A StorageFault
-// thrown inside a task is captured and rethrown on the consuming thread
-// after the barrier, keeping the query-boundary failure model intact.
-class EmissionFeed {
- public:
-  EmissionFeed(std::vector<std::unique_ptr<NetworkNnStream>>* streams,
-               TaskRunner* runner)
-      : streams_(streams), runner_(runner), buffers_(streams->size()) {}
-
-  // Next emission of source `qi` — exactly NetworkNnStream::Next()
-  // semantics, with production possibly batched ahead.
-  std::optional<NetworkNnStream::Visit> Next(std::size_t qi) {
-    if (runner_ == nullptr) return (*streams_)[qi]->Next();
-    Buffer& buf = buffers_[qi];
-    if (buf.head == buf.items.size() && !buf.exhausted) Refill();
-    if (buf.head == buf.items.size()) return std::nullopt;
-    return buf.items[buf.head++];
-  }
-
- private:
-  struct Buffer {
-    std::vector<NetworkNnStream::Visit> items;
-    std::size_t head = 0;   // next emission to replay
-    bool exhausted = false; // stream returned nullopt during production
-  };
-
-  // Emissions produced per source per refill. Large enough to amortize
-  // the barrier, small enough to keep the read-ahead past a truncation
-  // point modest.
-  static constexpr std::size_t kChunk = 64;
-
-  void Refill();
-
-  std::vector<std::unique_ptr<NetworkNnStream>>* streams_;
-  TaskRunner* runner_;
-  std::vector<Buffer> buffers_;
-};
-
-void EmissionFeed::Refill() {
-  // Top up every live source, not just the dry one: round-robin
-  // consumption drains all buffers within one round of each other, so one
-  // barrier refills them all and the next n*kChunk turns run barrier-free.
-  struct Production {
-    std::size_t source = 0;
-    std::size_t want = 0;
-    std::vector<NetworkNnStream::Visit> items;
-    bool exhausted = false;
-    obs::ThreadCounters delta;
-    std::thread::id produced_on;
-    std::exception_ptr error;
-  };
-  std::vector<Production> productions;
-  for (std::size_t q = 0; q < buffers_.size(); ++q) {
-    Buffer& buf = buffers_[q];
-    if (buf.exhausted) continue;
-    buf.items.erase(buf.items.begin(),
-                    buf.items.begin() + static_cast<std::ptrdiff_t>(buf.head));
-    buf.head = 0;
-    if (buf.items.size() >= kChunk) continue;
-    Production p;
-    p.source = q;
-    p.want = kChunk - buf.items.size();
-    productions.push_back(std::move(p));
-  }
-  if (productions.empty()) return;
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(productions.size());
-  for (Production& p : productions) {
-    NetworkNnStream* stream = (*streams_)[p.source].get();
-    tasks.push_back([&p, stream] {
-      p.produced_on = std::this_thread::get_id();
-      const obs::ThreadCounters before = obs::ThreadLocalCounters();
-      try {
-        p.items.reserve(p.want);
-        for (std::size_t k = 0; k < p.want; ++k) {
-          const auto visit = stream->Next();
-          if (!visit.has_value()) {
-            p.exhausted = true;
-            break;
-          }
-          p.items.push_back(*visit);
-        }
-      } catch (...) {
-        p.error = std::current_exception();
-      }
-      p.delta = obs::ThreadLocalCounters().Delta(before);
-    });
-  }
-  runner_->RunAll(std::move(tasks));
-
-  // Merge on the consuming thread: counters first (so even a faulting
-  // refill leaves the query's accounting exact), then the emissions.
-  const std::thread::id self = std::this_thread::get_id();
-  std::exception_ptr error;
-  for (Production& p : productions) {
-    if (p.produced_on != self) obs::ThreadLocalCounters().Absorb(p.delta);
-    Buffer& buf = buffers_[p.source];
-    buf.items.insert(buf.items.end(), p.items.begin(), p.items.end());
-    buf.exhausted = p.exhausted;
-    if (p.error != nullptr && error == nullptr) error = p.error;
-  }
-  if (error != nullptr) std::rethrow_exception(error);
 }
 
 // Per-object bookkeeping shared by both phases. The network distances
@@ -258,7 +127,6 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
       }
     }
   }
-  EmissionFeed feed(&streams, spec.runner);
   std::vector<bool> exhausted(n, false);
   // Emission radius per stream: a lower bound on every unvisited object's
   // distance to that query point.
@@ -328,7 +196,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
     const std::size_t qi = turn % n;
     ++turn;
     if (exhausted[qi]) continue;
-    const auto visit = feed.Next(qi);
+    const auto visit = streams[qi]->Next();
     if (!visit.has_value()) {
       exhausted[qi] = true;
       ++exhausted_count;
@@ -429,7 +297,6 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
       }
     }
   }
-  EmissionFeed feed(&streams, spec.runner);
   std::vector<bool> exhausted(n, false);
 
   std::vector<ObjectState> state(m);
@@ -513,7 +380,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
     ++turn;
     if (exhausted[qi]) continue;
 
-    const auto visit = feed.Next(qi);
+    const auto visit = streams[qi]->Next();
     if (!visit.has_value()) {
       exhausted[qi] = true;
       ++exhausted_count;

@@ -91,18 +91,6 @@ struct QueryLimits {
   }
 };
 
-// Minimal fork-join execution interface for intra-query parallelism.
-// Implementations (exec/task_pool.h) run the tasks of one RunAll call to
-// completion — possibly concurrently, possibly inline on the calling
-// thread — before returning, with a happens-before edge from every task
-// body to the return. Tasks must be leaves: they must not call RunAll and
-// must not block on each other.
-class TaskRunner {
- public:
-  virtual ~TaskRunner() = default;
-  virtual void RunAll(std::vector<std::function<void()>> tasks) = 0;
-};
-
 // A multi-source skyline query: the query points plus options.
 struct SkylineQuerySpec {
   std::vector<Location> sources;
@@ -114,15 +102,6 @@ struct SkylineQuerySpec {
   // record per-phase spans into it and the result carries a QueryProfile.
   // Null (the default) runs untraced at near-zero overhead.
   obs::TraceSession* trace = nullptr;
-  // Optional intra-query parallelism (not owned). When set, CE produces
-  // its per-source emission streams in parallel chunks on this runner and
-  // replays them through the same deterministic round-robin merge, so the
-  // skyline is byte-identical to the sequential run. The streams read
-  // ahead of the merge, so the page/settle counters reflect
-  // (deterministically) more work when the query cuts off early. Null
-  // (the default) expands sequentially. Excluded from QuerySpecDigest —
-  // execution strategy, not query identity.
-  TaskRunner* runner = nullptr;
   // Optional execution-plan collection (not owned). When set, the
   // algorithms record per-source wavefront progress, distance-lookup tier
   // attribution, and bound-tightness samples into it; the executor (or

@@ -81,13 +81,6 @@ QueryExecutor::~QueryExecutor() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void QueryExecutor::EnableSourceParallelism(std::size_t threads) {
-  // Before the first Submit: workers read the pointer without locking.
-  MSQ_CHECK(source_pool_ == nullptr);
-  MSQ_CHECK(pending() == 0);
-  source_pool_ = std::make_unique<TaskPool>(threads);
-}
-
 std::future<SkylineResult> QueryExecutor::Submit(QueryRequest request) {
   MSQ_CHECK(request.spec.trace == nullptr);
   Job job;
@@ -181,7 +174,6 @@ void QueryExecutor::WorkerLoop() {
       ++active_;
     }
     SkylineQuerySpec spec = std::move(job.request.spec);
-    if (spec.runner == nullptr) spec.runner = source_pool_.get();
     const bool telemetry_on = telemetry_->enabled();
     // With telemetry on every query runs traced: the coarse phase spans
     // land in the worker's bounded span buffer and either feed tail

@@ -36,7 +36,6 @@
 #include "common/status.h"
 #include "core/query.h"
 #include "core/skyline_query.h"
-#include "exec/task_pool.h"
 #include "obs/telemetry.h"
 
 namespace msq {
@@ -126,17 +125,6 @@ class QueryExecutor {
   // afterwards, provided no other thread is still submitting.
   void Quiesce() const;
 
-  // Turns on intra-query source parallelism: a shared TaskPool of
-  // `threads` helpers that every CE query dispatched by this executor
-  // expands its per-source wavefronts on (core/query.h TaskRunner;
-  // results stay byte-identical to sequential runs). Off by default — the
-  // historical one-thread-per-query execution. Call before the first
-  // Submit; requests whose spec already carries a runner keep it.
-  void EnableSourceParallelism(std::size_t threads);
-
-  // The shared intra-query pool, or null until EnableSourceParallelism.
-  TaskPool* source_pool() const { return source_pool_.get(); }
-
   // The dataset view every query runs against (serving diagnostics read
   // the buffer pools through it).
   const Dataset& dataset() const { return dataset_; }
@@ -179,9 +167,6 @@ class QueryExecutor {
   // Declared before dataset_: the dataset view is rewired to point at the
   // owned cache during construction.
   std::unique_ptr<QueryCache> cache_;
-  // Shared intra-query helper pool (EnableSourceParallelism). Destroyed
-  // after the workers join, so in-flight queries never outlive it.
-  std::unique_ptr<TaskPool> source_pool_;
   const Dataset dataset_;
   std::unique_ptr<obs::ServingTelemetry> telemetry_;
   mutable std::mutex mu_;

@@ -310,25 +310,6 @@ struct ThreadCounters : Counters {
   void MergeHeapPeak(double peak) {
     if (peak > heap_peak) heap_peak = peak;
   }
-
-  // Difference of this block against an earlier snapshot of the SAME
-  // thread's block: counters subtract, the heap fields carry the current
-  // level and the window's high-water mark. The substrate for intra-query
-  // parallelism: a helper task snapshots its thread's block around the
-  // work, and the query thread Absorbs the delta so its own
-  // StatsScope/QueryGuard/TraceSession windows see the helper's work.
-  ThreadCounters Delta(const ThreadCounters& since) const {
-    ThreadCounters delta = *this;
-    static_cast<Counters&>(delta) = *this - since;
-    return delta;
-  }
-
-  // Adds a Delta()-produced block into this one. Never absorb a delta into
-  // the thread that produced it — the work is already counted there.
-  void Absorb(const ThreadCounters& delta) {
-    *this += delta;
-    MergeHeapPeak(delta.heap_peak);
-  }
 };
 
 // The calling thread's counter block.

@@ -1,8 +1,8 @@
 // Oracle equivalence of the graph storage layouts (DESIGN.md §15): the
 // seed (Morton + row pages), Hilbert, and Hilbert+CSR layouts must give
 // byte-identical skylines for every algorithm — including truncated
-// prefixes under QueryLimits and parallel-source runs — and a Relayout's
-// layout-epoch bump must provably cut stale QueryCache entries off.
+// prefixes under QueryLimits — and a Relayout's layout-epoch bump must
+// provably cut stale QueryCache entries off.
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -12,7 +12,6 @@
 
 #include "cache/query_cache.h"
 #include "core/skyline_query.h"
-#include "exec/task_pool.h"
 #include "gen/workloads.h"
 
 namespace msq {
@@ -117,28 +116,6 @@ TEST(LayoutEquivalenceTest, TruncatedPrefixByteIdenticalAcrossLayouts) {
       ExpectByteIdentical(truncated[i], truncated[0],
                           "truncated " + GraphLayoutName(kLayouts[i]));
     }
-  }
-}
-
-// The parallel-source path must stay byte-identical on every layout, so
-// the layout ablation's fourth point measures the same query.
-TEST(LayoutEquivalenceTest, ParallelSourcesByteIdenticalAcrossLayouts) {
-  auto seed_workload = LayoutWorkload(GraphLayout::kSeed);
-  const SkylineQuerySpec spec = seed_workload->SampleQuery(4, 60);
-  seed_workload->ResetBuffers();
-  const SkylineResult baseline =
-      RunSkylineQuery(Algorithm::kCe, seed_workload->dataset(), spec);
-  ASSERT_TRUE(baseline.status.ok());
-  TaskPool pool(2);
-  for (const GraphLayout layout : kLayouts) {
-    auto workload = LayoutWorkload(layout);
-    SkylineQuerySpec parallel = workload->SampleQuery(4, 60);
-    parallel.runner = &pool;
-    workload->ResetBuffers();
-    const SkylineResult got =
-        RunSkylineQuery(Algorithm::kCe, workload->dataset(), parallel);
-    ExpectByteIdentical(got, baseline,
-                        "parallel " + GraphLayoutName(layout));
   }
 }
 

@@ -100,18 +100,6 @@ TEST(CounterTableTest, EveryRowFlowsEverywhere) {
     EXPECT_EQ(RowDiff(records[0].counters, expected), "");
 
     EXPECT_EQ(RowDiff(GlobalTotals() - global_before, expected), "");
-
-    // Helper-thread path: a task's Delta absorbed elsewhere carries the
-    // row, and before + delta lands back on the thread's current block.
-    const obs::ThreadCounters delta =
-        obs::ThreadLocalCounters().Delta(thread_before);
-    EXPECT_EQ(RowDiff(delta, expected), "");
-    obs::ThreadCounters absorbed;
-    absorbed.Absorb(delta);
-    EXPECT_EQ(RowDiff(absorbed, expected), "");
-    obs::Counters replayed = thread_before;
-    replayed += delta;
-    EXPECT_EQ(RowDiff(replayed, obs::ThreadLocalCounters()), "");
   }
 }
 

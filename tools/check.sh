@@ -8,8 +8,8 @@
 #   asan (default)  address+undefined over the full test suite
 #   tsan            thread sanitizer over the concurrency suites
 #                   (BufferManagerConcurrency / QueryExecutor /
-#                   ConcurrentHammer / Cache / parallel-source tests — the
-#                   multi-threaded code paths)
+#                   ConcurrentHammer / Cache / server / admission /
+#                   deadline-race tests — the multi-threaded code paths)
 #
 # Also validates that the committed BENCH_layout.json carries its host
 # metadata (hardware_concurrency) and build-info stamp (git sha, compiler,
@@ -115,7 +115,7 @@ if [[ "$mode" == "tsan" ]]; then
   # actually run threads. second_deadlock_stack aids lock-order reports.
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-      -R "Concurrency|Executor|Hammer|Cache|ServerTest|AdmissionTest|DeadlineRace|Parallel"
+      -R "Concurrency|Executor|Hammer|Cache|ServerTest|AdmissionTest|DeadlineRace"
   TSAN_OPTIONS="halt_on_error=1" run_cache_churn 6 200
 else
   # halt_on_error makes UBSan findings fail the run instead of just logging.
