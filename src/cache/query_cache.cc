@@ -336,6 +336,21 @@ void QueryCache::MemoRow::Grow(std::size_t capacity) {
   }
 }
 
+bool QueryCache::MemoRow::Shrink() {
+  std::size_t capacity = slots_.size();
+  if (size_ == 0) capacity = 0;
+  while (capacity > kMinRowCapacity && 8 * size_ <= 3 * (capacity / 2)) {
+    capacity /= 2;
+  }
+  if (capacity == slots_.size()) return false;
+  if (capacity == 0) {
+    slots_ = {};
+  } else {
+    Grow(capacity);
+  }
+  return true;
+}
+
 void QueryCache::MemoRow::Add(ObjectId object, Dist dist) {
   const std::size_t mask = slots_.size() - 1;
   std::size_t i = SlotIndex(object, mask);
@@ -348,6 +363,16 @@ void QueryCache::MemoRow::Add(ObjectId object, Dist dist) {
 void QueryCache::MemoRow::Update(Slot* slot, Dist dist) {
   slot->dist = dist;
   max_dist_ = std::max(max_dist_, dist);
+}
+
+void QueryCache::MemoRow::Put(ObjectId object, Dist dist) {
+  if (Slot* slot = Find(object)) {
+    Update(slot, dist);
+    return;
+  }
+  const std::size_t capacity = CapacityForOneMore();
+  if (capacity != slots_.size()) Grow(capacity);
+  Add(object, dist);
 }
 
 bool QueryCache::MemoRow::Erase(ObjectId object) {
@@ -465,6 +490,40 @@ void QueryCache::Publish(const Dropped& dropped) {
   if (dropped.bytes_delta != 0) AccountBytesDelta(dropped.bytes_delta);
 }
 
+void QueryCache::CountLookups(std::uint64_t memo_hits,
+                              std::uint64_t memo_misses,
+                              std::uint64_t wavefront_hits,
+                              std::uint64_t wavefront_misses) {
+  const CacheMetrics& metrics = Metrics();
+  if (memo_hits > 0) {
+    memo_hits_.fetch_add(memo_hits, std::memory_order_relaxed);
+    metrics.memo_hits->Inc(memo_hits);
+  }
+  if (memo_misses > 0) {
+    memo_misses_.fetch_add(memo_misses, std::memory_order_relaxed);
+    metrics.memo_misses->Inc(memo_misses);
+  }
+  if (wavefront_hits > 0) {
+    wavefront_hits_.fetch_add(wavefront_hits, std::memory_order_relaxed);
+    metrics.wavefront_hits->Inc(wavefront_hits);
+  }
+  if (wavefront_misses > 0) {
+    wavefront_misses_.fetch_add(wavefront_misses, std::memory_order_relaxed);
+    metrics.wavefront_misses->Inc(wavefront_misses);
+  }
+}
+
+void QueryCache::CountInserts(std::uint64_t memo, std::uint64_t wavefront) {
+  if (memo > 0) {
+    memo_inserts_.fetch_add(memo, std::memory_order_relaxed);
+    Metrics().memo_inserts->Inc(memo);
+  }
+  if (wavefront > 0) {
+    wavefront_inserts_.fetch_add(wavefront, std::memory_order_relaxed);
+    Metrics().wavefront_inserts->Inc(wavefront);
+  }
+}
+
 QueryCache::WavefrontPtr QueryCache::FindWavefront(const Location& source,
                                                    std::uint64_t layout_epoch) {
   // Detail span (head-sampled queries only): shard lock + LRU touch.
@@ -480,16 +539,31 @@ QueryCache::WavefrontPtr QueryCache::FindWavefront(const Location& source,
     }
   }
   Publish(dropped);
-  if (snapshot != nullptr) {
-    wavefront_hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wavefront_hits->Inc();
-    ++obs::ThreadLocalCounters().cache_wavefront_hits;
-  } else {
-    wavefront_misses_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wavefront_misses->Inc();
-    ++obs::ThreadLocalCounters().cache_wavefront_misses;
-  }
+  const bool hit = snapshot != nullptr;
+  CountLookups(0, 0, hit ? 1 : 0, hit ? 0 : 1);
+  ++(hit ? obs::ThreadLocalCounters().cache_wavefront_hits
+         : obs::ThreadLocalCounters().cache_wavefront_misses);
   return snapshot;
+}
+
+bool QueryCache::PutWavefront(Shard& shard, const Key& key,
+                              std::uint64_t layout_epoch,
+                              WavefrontPtr snapshot, Dropped* dropped) {
+  Entry* entry = FindLive(shard, key, layout_epoch, dropped);
+  const std::size_t row_bytes = entry != nullptr ? entry->memo.bytes() : 0;
+  if (EntryBytes(snapshot->bytes(), row_bytes) > shard_budget_) {
+    // Would evict the whole shard and still not fit: refuse.
+    ++dropped->refused;
+    ++dropped->wavefronts;
+    return false;
+  }
+  if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
+  if (entry->snapshot != nullptr) {
+    dropped->replaced.push_back(std::move(entry->snapshot));
+  }
+  entry->snapshot = std::move(snapshot);
+  Recharge(shard, *entry, dropped);
+  return true;
 }
 
 void QueryCache::StoreWavefront(const Location& source,
@@ -498,32 +572,16 @@ void QueryCache::StoreWavefront(const Location& source,
   const Key key = Canonical(source);
   WavefrontPtr stored = std::make_shared<const NetworkNnStream::Snapshot>(
       std::move(snapshot));
-  const std::size_t snapshot_bytes = stored->bytes();
   Shard& shard = ShardFor(key);
-  WavefrontPtr replaced;
-  Dropped dropped;  // freed, with `replaced`, after the lock is released
+  Dropped dropped;  // freed, with the replaced snapshot, after the lock
   bool inserted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    Entry* entry = FindLive(shard, key, layout_epoch, &dropped);
-    const std::size_t row_bytes = entry != nullptr ? entry->memo.bytes() : 0;
-    if (EntryBytes(snapshot_bytes, row_bytes) > shard_budget_) {
-      // Would evict the whole shard and still not fit: refuse.
-      ++dropped.refused;
-      ++dropped.wavefronts;
-    } else {
-      if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
-      replaced = std::move(entry->snapshot);
-      entry->snapshot = std::move(stored);
-      Recharge(shard, *entry, &dropped);
-      inserted = true;
-    }
+    inserted =
+        PutWavefront(shard, key, layout_epoch, std::move(stored), &dropped);
   }
   Publish(dropped);
-  if (inserted) {
-    wavefront_inserts_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().wavefront_inserts->Inc();
-  }
+  CountInserts(0, inserted ? 1 : 0);
 }
 
 std::optional<Dist> QueryCache::FindDistance(const Location& source,
@@ -539,21 +597,54 @@ std::optional<Dist> QueryCache::FindDistance(const Location& source,
     std::lock_guard<std::mutex> lock(shard.mu);
     if (Entry* entry = FindLive(shard, key, layout_epoch, &dropped)) {
       if (const MemoRow::Slot* slot = entry->memo.Find(object)) {
-        found = slot->dist;
+        found = Dist{slot->dist};
       }
     }
   }
   Publish(dropped);
-  if (found.has_value()) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().memo_hits->Inc();
-    ++obs::ThreadLocalCounters().cache_memo_hits;
-  } else {
-    memo_misses_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().memo_misses->Inc();
-    ++obs::ThreadLocalCounters().cache_memo_misses;
-  }
+  const bool hit = found.has_value();
+  CountLookups(hit ? 1 : 0, hit ? 0 : 1, 0, 0);
+  ++(hit ? obs::ThreadLocalCounters().cache_memo_hits
+         : obs::ThreadLocalCounters().cache_memo_misses);
   return found;
+}
+
+std::uint64_t QueryCache::PutDistances(Shard& shard, const Key& key,
+                                       std::uint64_t layout_epoch,
+                                       std::span<const MemoRow::Slot> stores,
+                                       Dropped* dropped) {
+  Entry* entry = FindLive(shard, key, layout_epoch, dropped);
+  std::uint64_t inserted = 0;
+  for (const MemoRow::Slot& store : stores) {
+    MemoRow::Slot* slot =
+        entry != nullptr ? entry->memo.Find(store.object) : nullptr;
+    if (slot != nullptr) {
+      entry->memo.Update(slot, store.dist);
+      ++inserted;
+      continue;
+    }
+    const std::size_t capacity = entry != nullptr
+                                     ? entry->memo.CapacityForOneMore()
+                                     : kMinRowCapacity;
+    const std::size_t row_bytes = capacity * sizeof(MemoRow::Slot);
+    const std::size_t needed =
+        entry != nullptr ? entry->bytes - entry->memo.bytes() + row_bytes
+                         : EntryBytes(0, row_bytes);
+    if (needed > shard_budget_) {
+      // The row cannot double inside one shard: refuse, keep the row.
+      ++dropped->refused;
+      ++dropped->memo_rows;
+      continue;
+    }
+    if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
+    const bool grows = capacity != entry->memo.capacity();
+    if (grows) entry->memo.Grow(capacity);
+    entry->memo.Add(store.object, store.dist);
+    // The entry is at the LRU front, so this never evicts it.
+    if (grows) Recharge(shard, *entry, dropped);
+    ++inserted;
+  }
+  return inserted;
 }
 
 void QueryCache::StoreDistance(const Location& source, ObjectId object,
@@ -561,43 +652,135 @@ void QueryCache::StoreDistance(const Location& source, ObjectId object,
   MSQ_CHECK(object != kInvalidObject);
   const Key key = Canonical(source);
   Shard& shard = ShardFor(key);
+  const MemoRow::Slot store{object, dist};
   Dropped dropped;  // freed after the lock is released
-  bool inserted = false;
+  std::uint64_t inserted = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    Entry* entry = FindLive(shard, key, layout_epoch, &dropped);
-    MemoRow::Slot* slot =
-        entry != nullptr ? entry->memo.Find(object) : nullptr;
-    if (slot != nullptr) {
-      entry->memo.Update(slot, dist);
-      inserted = true;
-    } else {
-      const std::size_t capacity = entry != nullptr
-                                       ? entry->memo.CapacityForOneMore()
-                                       : kMinRowCapacity;
-      const std::size_t row_bytes = capacity * sizeof(MemoRow::Slot);
-      const std::size_t needed =
-          entry != nullptr ? entry->bytes - entry->memo.bytes() + row_bytes
-                           : EntryBytes(0, row_bytes);
-      if (needed > shard_budget_) {
-        // The row cannot double inside one shard: refuse, keep the row.
-        ++dropped.refused;
-        ++dropped.memo_rows;
-      } else {
-        if (entry == nullptr) entry = &Create(shard, key, layout_epoch);
-        const bool grows = capacity != entry->memo.capacity();
-        if (grows) entry->memo.Grow(capacity);
-        entry->memo.Add(object, dist);
-        if (grows) Recharge(shard, *entry, &dropped);
-        inserted = true;
-      }
-    }
+    inserted = PutDistances(shard, key, layout_epoch, {&store, 1}, &dropped);
   }
   Publish(dropped);
-  if (inserted) {
-    memo_inserts_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().memo_inserts->Inc();
+  CountInserts(inserted, 0);
+}
+
+// One source of a View: its private row and what the query adds.
+struct QueryCache::View::Slot {
+  Key key;
+  bool open = false;
+  MemoRow row;            // the live row at open, plus the query's stores
+  WavefrontPtr snapshot;  // as of open
+  std::vector<MemoRow::Slot> stores;  // in call order, for the write-back
+  WavefrontPtr staged;                // snapshot to store at the end
+};
+
+QueryCache::View::View(QueryCache* cache, std::span<const Location> sources,
+                       std::uint64_t layout_epoch)
+    : cache_(cache), layout_epoch_(layout_epoch) {
+  if (cache_ == nullptr) return;
+  slot_of_.reserve(sources.size());
+  for (const Location& source : sources) {
+    const Key key = Canonical(source);
+    std::size_t s = 0;
+    while (s < slots_.size() && !(slots_[s].key == key)) ++s;
+    if (s == slots_.size()) slots_.emplace_back().key = key;
+    slot_of_.push_back(s);
   }
+}
+
+QueryCache::View::~View() {
+  if (cache_ == nullptr) return;
+  try {
+    WriteBack();
+  } catch (...) {
+    // Only an allocation can fail here, and the destructor may run during
+    // a StorageFault unwind: count what was not written back as refused.
+    std::uint64_t lost = 0;
+    for (const Slot& slot : slots_) {
+      lost += slot.stores.size() + (slot.staged != nullptr ? 1 : 0);
+    }
+    cache_->evictions_.fetch_add(lost, std::memory_order_relaxed);
+  }
+}
+
+QueryCache::View::Slot& QueryCache::View::Open(std::size_t i) {
+  Slot& slot = slots_[slot_of_[i]];
+  if (slot.open) return slot;
+  slot.open = true;
+  Shard& shard = cache_->ShardFor(slot.key);
+  Dropped dropped;  // freed after the lock is released
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (const Entry* entry =
+            cache_->FindLive(shard, slot.key, layout_epoch_, &dropped)) {
+      slot.row = entry->memo;
+      slot.snapshot = entry->snapshot;
+    }
+  }
+  cache_->Publish(dropped);
+  return slot;
+}
+
+QueryCache::WavefrontPtr QueryCache::View::Wavefront(std::size_t i) {
+  if (cache_ == nullptr) return nullptr;
+  WavefrontPtr snapshot = Open(i).snapshot;
+  const bool hit = snapshot != nullptr;
+  ++(hit ? wavefront_hits_ : wavefront_misses_);
+  ++(hit ? obs::ThreadLocalCounters().cache_wavefront_hits
+         : obs::ThreadLocalCounters().cache_wavefront_misses);
+  return snapshot;
+}
+
+std::optional<Dist> QueryCache::View::FindDistance(std::size_t i,
+                                                   ObjectId object) {
+  if (cache_ == nullptr) return std::nullopt;
+  MSQ_CHECK(object != kInvalidObject);
+  if (const MemoRow::Slot* slot = Open(i).row.Find(object)) {
+    ++memo_hits_;
+    ++obs::ThreadLocalCounters().cache_memo_hits;
+    return Dist{slot->dist};
+  }
+  ++memo_misses_;
+  ++obs::ThreadLocalCounters().cache_memo_misses;
+  return std::nullopt;
+}
+
+void QueryCache::View::StoreDistance(std::size_t i, ObjectId object,
+                                     Dist dist) {
+  if (cache_ == nullptr) return;
+  MSQ_CHECK(object != kInvalidObject);
+  Slot& slot = Open(i);
+  slot.row.Put(object, dist);
+  slot.stores.push_back(MemoRow::Slot{object, dist});
+}
+
+void QueryCache::View::StoreWavefront(std::size_t i,
+                                      NetworkNnStream::Snapshot snapshot) {
+  if (cache_ == nullptr) return;
+  Open(i).staged = std::make_shared<const NetworkNnStream::Snapshot>(
+      std::move(snapshot));
+}
+
+void QueryCache::View::WriteBack() {
+  cache_->CountLookups(memo_hits_, memo_misses_, wavefront_hits_,
+                       wavefront_misses_);
+  Dropped dropped;  // freed after every shard lock is released
+  std::uint64_t memo_inserts = 0;
+  std::uint64_t wavefront_inserts = 0;
+  for (Slot& slot : slots_) {
+    if (slot.stores.empty() && slot.staged == nullptr) continue;
+    Shard& shard = cache_->ShardFor(slot.key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    memo_inserts += cache_->PutDistances(shard, slot.key, layout_epoch_,
+                                         slot.stores, &dropped);
+    slot.stores.clear();
+    if (slot.staged != nullptr &&
+        cache_->PutWavefront(shard, slot.key, layout_epoch_,
+                             std::move(slot.staged), &dropped)) {
+      ++wavefront_inserts;
+    }
+  }
+  cache_->Publish(dropped);
+  cache_->CountInserts(memo_inserts, wavefront_inserts);
 }
 
 bool QueryCache::CarryOver(CarryPlan& plan, Shard& shard, Entry& entry,
@@ -610,7 +793,9 @@ bool QueryCache::CarryOver(CarryPlan& plan, Shard& shard, Entry& entry,
     ++dropped->wavefronts;
     Charge(shard, entry, dropped);
   }
-  dropped->memo_slots += plan.TrimRow(source, &entry.memo);
+  const std::uint64_t trimmed = plan.TrimRow(source, &entry.memo);
+  dropped->memo_slots += trimmed;
+  if (trimmed > 0 && entry.memo.Shrink()) Charge(shard, entry, dropped);
   entry.layout_epoch = epoch;
   return true;
 }
@@ -685,7 +870,7 @@ std::vector<QueryCache::EntryView> QueryCache::Entries() const {
       view.snapshot = entry.snapshot;
       for (const MemoRow::Slot& slot : entry.memo.slots()) {
         if (slot.object != kInvalidObject) {
-          view.memo.emplace_back(slot.object, slot.dist);
+          view.memo.emplace_back(slot.object, Dist{slot.dist});
         }
       }
     }

@@ -23,6 +23,8 @@
 //
 // Concurrency: lock-striped like BufferManager — the source hash picks a
 // shard, each shard serializes its map + LRU list under its own mutex.
+// Queries reach it through a View, one shard lock in and one out per
+// source per query.
 // Eviction is LRU by bytes within each shard (budget / shard_count each),
 // at source grain: an entry's bytes are its snapshot plus its row's slot
 // capacity, and the victim goes with both. A store that would push its own
@@ -51,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -144,6 +147,66 @@ class QueryCache {
   void StoreDistance(const Location& source, ObjectId object, Dist dist,
                      std::uint64_t layout_epoch = 0);
 
+  // --- Query-scoped view ------------------------------------------------
+
+  // One query's handle on the entries of its sources, at the query's data
+  // epoch (DESIGN.md §11). Query paths use it instead of the per-call
+  // Find/Store methods above, which take a shard lock per call.
+  //
+  // The first use of a source takes its shard lock once: the live entry's
+  // memo row is copied in and its snapshot taken. After that, finds and
+  // stores touch only the private row, with no lock, and a find sees the
+  // query's own stores. Sources at the same location share one slot.
+  // Destruction takes each opened source's shard lock once more and writes
+  // the query's stores back in call order, then its staged snapshot, under
+  // the StoreDistance/StoreWavefront rules. It never throws: what a failed
+  // allocation keeps it from writing back counts as refused (evictions).
+  //
+  // Counting: each find and wavefront lookup bumps the calling thread's
+  // counters at once, so spans and QueryStats stay exact; the instance
+  // stats() and the registry counters are added at destruction.
+  //
+  // Sound because a query runs on the shared side of the write barrier:
+  // every distance it stores is exact at its epoch, so any merge order with
+  // other workers' write-backs leaves only exact distances.
+  class View {
+   public:
+    // A null `cache` makes every lookup miss without counting and every
+    // store a no-op.
+    View(QueryCache* cache, std::span<const Location> sources,
+         std::uint64_t layout_epoch);
+    ~View();
+    View(const View&) = delete;
+    View& operator=(const View&) = delete;
+
+    bool enabled() const { return cache_ != nullptr; }
+
+    // Source `i`'s snapshot as of its first use, or null. Counts one
+    // wavefront hit or miss per call.
+    WavefrontPtr Wavefront(std::size_t i);
+    // Exact distance from source `i` to `object` if memoized. Counts one
+    // memo hit or miss.
+    std::optional<Dist> FindDistance(std::size_t i, ObjectId object);
+    // Memoizes an EXACT distance from source `i`; written back at the end.
+    void StoreDistance(std::size_t i, ObjectId object, Dist dist);
+    // Stages a snapshot of source `i`'s wavefront, stored at the end.
+    void StoreWavefront(std::size_t i, NetworkNnStream::Snapshot snapshot);
+
+   private:
+    struct Slot;
+    Slot& Open(std::size_t i);
+    void WriteBack();
+
+    QueryCache* const cache_;
+    const std::uint64_t layout_epoch_;
+    std::vector<std::size_t> slot_of_;  // source index -> slots_ index
+    std::vector<Slot> slots_;
+    std::uint64_t memo_hits_ = 0;
+    std::uint64_t memo_misses_ = 0;
+    std::uint64_t wavefront_hits_ = 0;
+    std::uint64_t wavefront_misses_ = 0;
+  };
+
   // --- Write maintenance ------------------------------------------------
 
   // Carries every entry stamped with the from_epoch of `pager`'s last
@@ -220,10 +283,17 @@ class QueryCache {
   // count is 0 or a power of two; empty slots hold kInvalidObject.
   class MemoRow {
    public:
+    // Packed to 12 bytes rather than padded to 16: slots are nearly all
+    // of a row's bytes, and the distance's 4-byte alignment costs nothing
+    // on the targets the project builds for. Read `dist` by value
+    // (`Dist{slot->dist}`): a `const Dist&` to it would be misaligned.
+#pragma pack(push, 4)
     struct Slot {
       ObjectId object = kInvalidObject;
       Dist dist = 0;
     };
+#pragma pack(pop)
+    static_assert(sizeof(Slot) == sizeof(ObjectId) + sizeof(Dist));
 
     // The slot holding `object`, or null.
     Slot* Find(ObjectId object);
@@ -231,10 +301,16 @@ class QueryCache {
     std::size_t CapacityForOneMore() const;
     // Rehashes into `capacity` slots (a power of two above size()).
     void Grow(std::size_t capacity);
+    // Halves the slot count while the row would stay at most 3/8 full,
+    // releasing an empty row: a trim must not leave capacity the row's
+    // stores no longer need. Returns whether the row shrank.
+    bool Shrink();
     // Adds an absent object; the row must have room for it.
     void Add(ObjectId object, Dist dist);
     // Overwrites a slot's distance.
     void Update(Slot* slot, Dist dist);
+    // Update or Add, growing as needed: for rows outside any budget.
+    void Put(ObjectId object, Dist dist);
     // Removes `object` by backward-shift deletion (no tombstones, so
     // probe sequences stay short). Returns whether it was present.
     bool Erase(ObjectId object);
@@ -280,6 +356,7 @@ class QueryCache {
   struct Dropped {
     LruList entries;
     std::vector<WavefrontPtr> snapshots;  // dropped from entries that stay
+    std::vector<WavefrontPtr> replaced;   // by a newer snapshot; not evicted
     std::uint64_t refused = 0;     // stores refused by the budget
     std::uint64_t wavefronts = 0;  // snapshots dropped or refused
     std::uint64_t memo_rows = 0;   // non-empty rows dropped, memos refused
@@ -305,6 +382,24 @@ class QueryCache {
   void Recharge(Shard& shard, Entry& entry, Dropped* dropped);
   // Re-charges `entry` to its current size; never evicts.
   void Charge(Shard& shard, Entry& entry, Dropped* dropped);
+  // Under `shard`'s lock: applies `stores` in order to the live entry for
+  // `key`, creating it on the first accepted store. A store that would
+  // double the row past the shard budget is refused. Returns the accepted
+  // stores.
+  std::uint64_t PutDistances(Shard& shard, const Key& key,
+                             std::uint64_t layout_epoch,
+                             std::span<const MemoRow::Slot> stores,
+                             Dropped* dropped);
+  // Under `shard`'s lock: stores `snapshot` in the live entry for `key`,
+  // moving the one it replaces to `dropped->replaced`. Refused when the entry would
+  // exceed the shard budget. Returns whether it was stored.
+  bool PutWavefront(Shard& shard, const Key& key, std::uint64_t layout_epoch,
+                    WavefrontPtr snapshot, Dropped* dropped);
+  // Adds one query's lookups to the instance stats and the registry.
+  void CountLookups(std::uint64_t memo_hits, std::uint64_t memo_misses,
+                    std::uint64_t wavefront_hits,
+                    std::uint64_t wavefront_misses);
+  void CountInserts(std::uint64_t memo, std::uint64_t wavefront);
   // Applies `plan` to `entry` (stamped with the step's from_epoch):
   // returns false when the whole entry must go, else trims what the plan's
   // step invalidates and re-stamps it to `epoch`.

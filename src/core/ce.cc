@@ -11,48 +11,45 @@
 namespace msq {
 namespace {
 
-// Opens one NN stream per query point, resuming each from the cross-query
-// cache when a wavefront snapshot for its source is present. `resumes`
-// records the consulted snapshots (null on miss) so the close path can
-// tell whether a stream actually grew.
+// Opens one NN stream per query point, resuming each from the query's
+// cache view when a wavefront snapshot for its source is present.
+// `resumes` records the consulted snapshots (null on miss) so the close
+// path can tell whether a stream actually grew.
 //
 // The streams share `memo`, so an occupied edge reached by several
 // wavefronts is read from the middle layer once per query.
 std::vector<std::unique_ptr<NetworkNnStream>> OpenStreams(
     const Dataset& dataset, const SkylineQuerySpec& spec,
-    EdgeObjectMemo* memo, std::vector<QueryCache::WavefrontPtr>* resumes) {
+    QueryCache::View* cache, EdgeObjectMemo* memo,
+    std::vector<QueryCache::WavefrontPtr>* resumes) {
   std::vector<std::unique_ptr<NetworkNnStream>> streams;
   streams.reserve(spec.sources.size());
   resumes->clear();
-  for (const Location& source : spec.sources) {
-    QueryCache::WavefrontPtr resume;
-    if (dataset.cache != nullptr) {
-      resume = dataset.cache->FindWavefront(
-          source, dataset.graph_pager->data_epoch());
-    }
+  for (std::size_t q = 0; q < spec.sources.size(); ++q) {
+    QueryCache::WavefrontPtr resume = cache->Wavefront(q);
     streams.push_back(std::make_unique<NetworkNnStream>(
-        dataset.graph_pager, dataset.mapping, source, resume.get(), memo));
+        dataset.graph_pager, dataset.mapping, spec.sources[q], resume.get(),
+        memo));
     resumes->push_back(std::move(resume));
   }
   return streams;
 }
 
-// Checkpoints every stream back into the cache. Streams that resumed a
-// snapshot and never expanded past it are skipped — re-storing an
-// identical snapshot would only churn bytes and LRU order (the find
-// already refreshed recency).
+// Stages a checkpoint of every stream in the query's cache view. Streams
+// that resumed a snapshot and never expanded past it are skipped —
+// re-storing an identical snapshot would only churn bytes and LRU order
+// (the view's open already refreshed recency).
 void StoreStreams(
-    const Dataset& dataset, const SkylineQuerySpec& spec,
     const std::vector<std::unique_ptr<NetworkNnStream>>& streams,
-    const std::vector<QueryCache::WavefrontPtr>& resumes) {
-  if (dataset.cache == nullptr) return;
+    const std::vector<QueryCache::WavefrontPtr>& resumes,
+    QueryCache::View* cache) {
+  if (!cache->enabled()) return;
   for (std::size_t q = 0; q < streams.size(); ++q) {
     if (resumes[q] != nullptr &&
         streams[q]->settled_count() == resumes[q]->search.settled_count) {
       continue;
     }
-    dataset.cache->StoreWavefront(spec.sources[q], streams[q]->MakeSnapshot(),
-                                  dataset.graph_pager->data_epoch());
+    cache->StoreWavefront(q, streams[q]->MakeSnapshot());
   }
 }
 
@@ -112,10 +109,12 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
 
+  QueryCache::View cache(dataset.cache, spec.sources,
+                         dataset.graph_pager->data_epoch());
   EdgeObjectMemo memo(dataset.mapping);
   std::vector<QueryCache::WavefrontPtr> resumes;
   std::vector<std::unique_ptr<NetworkNnStream>> streams =
-      OpenStreams(dataset, spec, &memo, &resumes);
+      OpenStreams(dataset, spec, &cache, &memo, &resumes);
   // Radius each resumed wavefront had already reached: emissions at or
   // inside it were answered by the cached snapshot, not fresh expansion
   // (plan cache-tier attribution; only consulted when a plan is taken).
@@ -210,13 +209,9 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
         spec.plan->RecordComputed();
       }
     }
-    if (dataset.cache != nullptr) {
-      // Emissions are exact network distances — harvest into the memo for
-      // the point-to-point paths EDC/LBC would otherwise recompute.
-      dataset.cache->StoreDistance(spec.sources[qi], visit->object,
-                                   visit->distance,
-                                   dataset.graph_pager->data_epoch());
-    }
+    // Emissions are exact network distances — harvest into the memo for
+    // the point-to-point paths EDC/LBC would otherwise recompute.
+    cache.StoreDistance(qi, visit->object, visit->distance);
     ObjectState& obj = state[visit->object];
     if (!visited_once[visit->object]) {
       visited_once[visit->object] = true;
@@ -265,7 +260,7 @@ SkylineResult RunCeGeneralized(const Dataset& dataset,
                               resumes[q] != nullptr);
     }
   }
-  StoreStreams(dataset, spec, streams, resumes);
+  StoreStreams(streams, resumes, &cache);
   scope.Finish(&result.stats);
   return result;
 }
@@ -283,10 +278,12 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
   const std::size_t n = spec.sources.size();
   const std::size_t m = dataset.object_count();
 
+  QueryCache::View cache(dataset.cache, spec.sources,
+                         dataset.graph_pager->data_epoch());
   EdgeObjectMemo memo(dataset.mapping);
   std::vector<QueryCache::WavefrontPtr> resumes;
   std::vector<std::unique_ptr<NetworkNnStream>> streams =
-      OpenStreams(dataset, spec, &memo, &resumes);
+      OpenStreams(dataset, spec, &cache, &memo, &resumes);
   // See RunCeGeneralized: cached-wavefront radius per resumed stream for
   // plan cache-tier attribution.
   std::vector<Dist> resume_radius(n, -1.0);
@@ -394,12 +391,8 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
         spec.plan->RecordComputed();
       }
     }
-    if (dataset.cache != nullptr) {
-      // Exact emission distance — harvest into the cross-query memo.
-      dataset.cache->StoreDistance(spec.sources[qi], visit->object,
-                                   visit->distance,
-                                   dataset.graph_pager->data_epoch());
-    }
+    // Exact emission distance — harvest into the cross-query memo.
+    cache.StoreDistance(qi, visit->object, visit->distance);
 
     ObjectState& obj = state[visit->object];
     if (filtering) {
@@ -485,7 +478,7 @@ SkylineResult RunCeFiltering(const Dataset& dataset,
                               resumes[q] != nullptr);
     }
   }
-  StoreStreams(dataset, spec, streams, resumes);
+  StoreStreams(streams, resumes, &cache);
   scope.Finish(&result.stats);
   return result;
 }

@@ -17,8 +17,12 @@ namespace {
 class EdcRunner {
  public:
   EdcRunner(const Dataset& dataset, const SkylineQuerySpec& spec)
-      : dataset_(dataset), spec_(spec) {
-    for (const Location& source : spec.sources) {
+      : dataset_(dataset),
+        spec_(spec),
+        cache_(dataset.cache, spec.sources,
+               dataset.graph_pager->data_epoch()) {
+    for (std::size_t i = 0; i < spec.sources.size(); ++i) {
+      const Location& source = spec.sources[i];
       query_points_.push_back(dataset.network->LocationPosition(source));
       searches_.push_back(std::make_unique<AStarSearch>(
           dataset.graph_pager, source, dataset.landmarks));
@@ -26,12 +30,9 @@ class EdcRunner {
       // run): exact distances for targets inside its settled region
       // without any A* expansion.
       CachedWavefront wavefront;
-      if (dataset.cache != nullptr) {
-        wavefront.snapshot = dataset.cache->FindWavefront(
-            source, dataset.graph_pager->data_epoch());
-        if (wavefront.snapshot != nullptr) {
-          wavefront.radius = CheckpointRadius(wavefront.snapshot->search);
-        }
+      wavefront.snapshot = cache_.Wavefront(i);
+      if (wavefront.snapshot != nullptr) {
+        wavefront.radius = CheckpointRadius(wavefront.snapshot->search);
       }
       wavefronts_.push_back(std::move(wavefront));
     }
@@ -45,25 +46,19 @@ class EdcRunner {
   // distance memo first, then an exact cached-wavefront probe, and only
   // then the A* search.
   Dist SourceDistance(std::size_t i, ObjectId id, const Location& loc) {
-    QueryCache* const cache = dataset_.cache;
-    if (cache != nullptr) {
-      if (const std::optional<Dist> memo =
-              cache->FindDistance(spec_.sources[i], id,
-                                  dataset_.graph_pager->data_epoch())) {
-        if (spec_.plan != nullptr) spec_.plan->RecordMemoHit();
-        return *memo;
-      }
-      const CachedWavefront& wavefront = wavefronts_[i];
-      if (wavefront.snapshot != nullptr) {
-        const WavefrontProbe probe =
-            ProbeCheckpoint(*dataset_.network, wavefront.snapshot->search,
-                            wavefront.radius, spec_.sources[i], loc);
-        if (probe.exact) {
-          cache->StoreDistance(spec_.sources[i], id, probe.bound,
-                               dataset_.graph_pager->data_epoch());
-          if (spec_.plan != nullptr) spec_.plan->RecordWavefrontExact();
-          return probe.bound;
-        }
+    if (const std::optional<Dist> memo = cache_.FindDistance(i, id)) {
+      if (spec_.plan != nullptr) spec_.plan->RecordMemoHit();
+      return *memo;
+    }
+    const CachedWavefront& wavefront = wavefronts_[i];
+    if (wavefront.snapshot != nullptr) {
+      const WavefrontProbe probe =
+          ProbeCheckpoint(*dataset_.network, wavefront.snapshot->search,
+                          wavefront.radius, spec_.sources[i], loc);
+      if (probe.exact) {
+        cache_.StoreDistance(i, id, probe.bound);
+        if (spec_.plan != nullptr) spec_.plan->RecordWavefrontExact();
+        return probe.bound;
       }
     }
     // Lower bound EDC's Euclid-constraint reasoning had for this pair
@@ -81,10 +76,7 @@ class EdcRunner {
       const unsigned pct = RecordBoundTightness(lower, dist);
       if (spec_.plan != nullptr) spec_.plan->RecordTightness(pct);
     }
-    if (cache != nullptr) {
-      cache->StoreDistance(spec_.sources[i], id, dist,
-                           dataset_.graph_pager->data_epoch());
-    }
+    cache_.StoreDistance(i, id, dist);
     return dist;
   }
 
@@ -300,6 +292,8 @@ class EdcRunner {
 
   const Dataset& dataset_;
   const SkylineQuerySpec& spec_;
+  // The query's view of the cross-query cache: memo first, then wavefronts.
+  QueryCache::View cache_;
   std::vector<Point> query_points_;
   std::vector<std::unique_ptr<AStarSearch>> searches_;
   std::vector<CachedWavefront> wavefronts_;
@@ -485,6 +479,10 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
 
   {
     obs::Span browse_span(trace, "edc.euclid_prune");
+    // Per Euclidean skyline point: two switched phases, then back to the
+    // browse.
+    enum : std::size_t { kWindowFetch, kDrain };
+    obs::Phases<2> phases(trace, {"edc.window_fetch", "edc.drain"});
     for (auto item = browser.Next(); item.found; item = browser.Next()) {
       if (guard.Exceeded()) {
         // Progressive cut-off: entries reported by drain_determinable were
@@ -498,14 +496,13 @@ SkylineResult RunEdcIncremental(const Dataset& dataset,
       if (candidates.emplace(item.object, true).second) {
         order.push_back(item.object);
       }
-      {
-        obs::Span span(trace, "edc.window_fetch");
-        const DistVector& shifted = runner.NetworkVector(item.object);
-        runner.FetchWindow(shifted, &order, &candidates);
-        processed_windows.push_back(shifted);
-      }
-      obs::Span span(trace, "edc.drain");
+      phases.Enter(kWindowFetch);
+      const DistVector& shifted = runner.NetworkVector(item.object);
+      runner.FetchWindow(shifted, &order, &candidates);
+      processed_windows.push_back(shifted);
+      phases.Enter(kDrain);
       drain_determinable();
+      phases.Leave();
     }
   }
 

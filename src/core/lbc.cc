@@ -17,6 +17,7 @@ LbcDiscovery::LbcDiscovery(const Dataset& dataset,
       radius_(radius),
       dominated_(std::move(dominated)),
       min_attrs_(dataset.MinStaticAttributes()),
+      cache_(dataset.cache, spec.sources, dataset.graph_pager->data_epoch()),
       searches_(spec.sources.size()),
       wavefronts_(spec.sources.size()),
       wavefront_radius_(spec.sources.size(), 0.0),
@@ -28,13 +29,10 @@ LbcDiscovery::LbcDiscovery(const Dataset& dataset,
   for (const Location& source : spec.sources) {
     query_points_.push_back(dataset.network->LocationPosition(source));
   }
-  if (dataset.cache != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      wavefronts_[i] = dataset.cache->FindWavefront(
-          spec.sources[i], dataset.graph_pager->data_epoch());
-      if (wavefronts_[i] != nullptr) {
-        wavefront_radius_[i] = CheckpointRadius(wavefronts_[i]->search);
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    wavefronts_[i] = cache_.Wavefront(i);
+    if (wavefronts_[i] != nullptr) {
+      wavefront_radius_[i] = CheckpointRadius(wavefronts_[i]->search);
     }
   }
   const bool every_source = alternate_sources && n > 1;
@@ -119,10 +117,7 @@ AStarSearch& LbcDiscovery::search(std::size_t qi) {
 
 std::optional<Dist> LbcDiscovery::CachedDistance(std::size_t qi, ObjectId id,
                                                  const Location& loc) {
-  QueryCache* const cache = dataset_.cache;
-  if (cache == nullptr) return std::nullopt;
-  if (const std::optional<Dist> memo = cache->FindDistance(
-          spec_.sources[qi], id, dataset_.graph_pager->data_epoch())) {
+  if (const std::optional<Dist> memo = cache_.FindDistance(qi, id)) {
     if (spec_.plan != nullptr) spec_.plan->RecordMemoHit();
     return memo;
   }
@@ -131,8 +126,7 @@ std::optional<Dist> LbcDiscovery::CachedDistance(std::size_t qi, ObjectId id,
         ProbeCheckpoint(*dataset_.network, wavefronts_[qi]->search,
                         wavefront_radius_[qi], spec_.sources[qi], loc);
     if (probe.exact) {
-      cache->StoreDistance(spec_.sources[qi], id, probe.bound,
-                           dataset_.graph_pager->data_epoch());
+      cache_.StoreDistance(qi, id, probe.bound);
       if (spec_.plan != nullptr) spec_.plan->RecordWavefrontExact();
       return probe.bound;
     }
@@ -158,10 +152,7 @@ Dist LbcDiscovery::Distance(std::size_t qi, ObjectId id, const Location& loc) {
 
 void LbcDiscovery::Harvest(std::size_t qi, ObjectId id, Dist dist) {
   if (spec_.plan != nullptr) spec_.plan->RecordComputed();
-  if (dataset_.cache != nullptr) {
-    dataset_.cache->StoreDistance(spec_.sources[qi], id, dist,
-                                  dataset_.graph_pager->data_epoch());
-  }
+  cache_.StoreDistance(qi, id, dist);
 }
 
 void LbcDiscovery::RecordSources() const {
@@ -338,7 +329,11 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
   };
 
   // Main loop: rotate across the discovery streams (a single iteration
-  // stream in single-source mode) until every stream is exhausted.
+  // stream in single-source mode) until every stream is exhausted. Two
+  // switched phases, filter then confirm, per candidate; a reported
+  // candidate's bookkeeping goes back to the root span.
+  enum : std::size_t { kFilter, kConfirm };
+  obs::Phases<2> phases(trace, {"lbc.filter", "lbc.confirm"});
   std::size_t live = discovery.stream_count();
   std::vector<std::uint8_t> done(live, 0);
   std::size_t turn = 0;
@@ -353,22 +348,17 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     const std::size_t s = turn % done.size();
     ++turn;
     if (done[s]) continue;
-    LbcDiscovery::Candidate cand;
-    {
-      obs::Span span(trace, "lbc.filter");
-      cand = discovery.Next(s);
-    }
+    phases.Enter(kFilter);
+    const LbcDiscovery::Candidate cand = discovery.Next(s);
     if (cand.object == kInvalidObject) {
       done[s] = 1;
       --live;
       continue;
     }
-    DistVector vec;
-    {
-      obs::Span span(trace, "lbc.confirm");
-      vec = screen(cand);
-    }
+    phases.Enter(kConfirm);
+    DistVector vec = screen(cand);
     if (vec.empty()) continue;
+    phases.Leave();
     scope.MarkInitial();
     SkylineEntry entry;
     entry.object = cand.object;
@@ -377,6 +367,7 @@ SkylineResult RunLbcBody(const Dataset& dataset, const SkylineQuerySpec& spec,
     result.skyline.push_back(entry);
     skyline_rows.Append(vec);
   }
+  phases.Leave();
 
   // Tie safety: with exactly equal source distances the pop order between
   // two candidates is arbitrary.

@@ -126,6 +126,9 @@ class LbcDiscovery {
   const Dist radius_;
   const DominatedTest dominated_;
   const DistVector min_attrs_;
+  // The query's view of the cross-query cache, written back when the
+  // discovery ends.
+  QueryCache::View cache_;
   std::vector<Point> query_points_;
   std::vector<std::unique_ptr<AStarSearch>> searches_;
   // Cached wavefronts per query point (typically left behind by CE runs):

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace msq::obs {
@@ -76,62 +77,82 @@ void TraceSession::HeapMergePeak(double peak) {
 
 void TraceSession::Attribute() {
   const Counters now = Read();
-  if (!stack_.empty()) spans_[stack_.back()].self += now - last_;
+  if (!stack_.empty()) spans_[stack_.back().id].self += now - last_;
   last_ = now;
 }
 
-int TraceSession::OpenSpan(std::string_view name) {
-  Attribute();
+int TraceSession::NewRecord(std::string_view name, double now) {
   if (spans_.size() >= kMaxSpans) {
     ++dropped_;
     return -1;
   }
-  const double now = NowSeconds();
   if (stack_.empty() && spans_.empty()) epoch_ = now;
   SpanRecord span;
   span.name = std::string(name);
-  span.parent = stack_.empty() ? -1 : stack_.back();
+  span.parent = stack_.empty() ? -1 : stack_.back().id;
   span.depth = static_cast<int>(stack_.size());
   span.start_seconds = now - epoch_;
-  const int id = static_cast<int>(spans_.size());
+  span.end_seconds = span.start_seconds;
   spans_.push_back(std::move(span));
-  stack_.push_back(id);
-  // Scope the heap high-water mark to this span; the outer peak is folded
-  // back in at close.
-  saved_peaks_.push_back(HeapPeak());
+  return static_cast<int>(spans_.size()) - 1;
+}
+
+void TraceSession::Enter(int id, double now) {
+  // Scope the heap high-water mark to this stay; the outer peak is folded
+  // back in when it ends.
+  stack_.push_back(Open{id, now, HeapPeak()});
   HeapResetPeak();
+}
+
+int TraceSession::OpenSpan(std::string_view name) {
+  Attribute();
+  const double now = NowSeconds();
+  const int id = NewRecord(name, now);
+  if (id >= 0) Enter(id, now);
   return id;
 }
 
 void TraceSession::CloseTop(double now) {
-  SpanRecord& span = spans_[stack_.back()];
-  span.end_seconds = now - epoch_;
-  span.heap_peak = HeapPeak();
-  HeapMergePeak(saved_peaks_.back());
-  if (span.parent >= 0) {
-    spans_[span.parent].child_seconds += span.duration_seconds();
-  }
+  const Open top = stack_.back();
+  SpanRecord& span = spans_[top.id];
+  const double stay = now - top.entered;
+  span.end_seconds += stay;
+  span.heap_peak = std::max(span.heap_peak, HeapPeak());
+  HeapMergePeak(top.saved_peak);
+  if (span.parent >= 0) spans_[span.parent].child_seconds += stay;
   stack_.pop_back();
-  saved_peaks_.pop_back();
 }
 
-void TraceSession::CloseSpan(int id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= spans_.size()) return;
-  bool open = false;
-  for (const int sid : stack_) {
-    if (sid == id) {
-      open = true;
-      break;
-    }
+bool TraceSession::IsOpen(int id) const {
+  for (const Open& entry : stack_) {
+    if (entry.id == id) return true;
   }
-  if (!open) return;  // already closed (possibly force-closed by a parent)
-  Attribute();
-  const double now = NowSeconds();
+  return false;
+}
+
+void TraceSession::CloseThrough(int id, double now) {
   while (!stack_.empty()) {
-    const bool was_target = stack_.back() == id;
+    const bool was_target = stack_.back().id == id;
     CloseTop(now);
     if (was_target) break;
   }
+}
+
+void TraceSession::CloseSpan(int id) {
+  // Already closed (possibly force-closed by a parent): nothing to do.
+  if (!IsOpen(id)) return;
+  Attribute();
+  CloseThrough(id, NowSeconds());
+}
+
+int TraceSession::SwitchPhase(int from, int to, std::string_view name) {
+  Attribute();
+  const double now = NowSeconds();
+  if (IsOpen(from)) CloseThrough(from, now);
+  if (to == kNewPhase) to = NewRecord(name, now);
+  if (to < 0 || static_cast<std::size_t>(to) >= spans_.size()) return -1;
+  Enter(to, now);
+  return to;
 }
 
 QueryProfile TraceSession::Take() {

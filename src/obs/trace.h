@@ -8,6 +8,11 @@
 // *exactly* to the root span's inclusive totals — which is what lets a
 // query profile reconcile against the run's top-level QueryStats.
 //
+// A loop that alternates between phases per candidate uses switched
+// phases (Phases below) instead of a span per stay: a phase keeps one
+// record however often it is entered, and each switch costs one counter
+// read and one clock read.
+//
 // Tracing is opt-in per query (SkylineQuerySpec::trace). With a null
 // session every Span operation is a pointer test, so the instrumented
 // algorithms pay near-zero overhead when profiling is off.
@@ -32,6 +37,8 @@ struct SpanRecord {
   int parent = -1;  // index into the profile's spans; -1 for the root
   int depth = 0;
   double start_seconds = 0.0;  // relative to the session epoch
+  // start_seconds plus the time the span was open. A switched phase is
+  // open over several stays, so its end is its first entry plus their sum.
   double end_seconds = 0.0;
   // Counter deltas attributed exclusively to this span (intervals where it
   // was the innermost open span).
@@ -86,6 +93,15 @@ class TraceSession {
   // ids.
   void CloseSpan(int id);
 
+  // Switched phases. Leaves phase `from` (-1: none; no-op when it is not
+  // open), then enters `to`: the id an earlier switch returned, kNewPhase
+  // to open a fresh record named `name` under the innermost span left open,
+  // or -1 to enter none. Returns the entered id (-1 for none, or when the
+  // span cap was hit). One counter read and one clock read charge the
+  // interval since the last one to the span being left.
+  static constexpr int kNewPhase = -2;
+  int SwitchPhase(int from, int to, std::string_view name = {});
+
   // Force-closes every open span, returns the finished profile, and resets
   // the session for reuse.
   QueryProfile Take();
@@ -101,10 +117,25 @@ class TraceSession {
   bool detail() const { return detail_; }
 
  private:
+  // An open span: its record, when it was (re-)entered, and the enclosing
+  // heap peak saved at entry.
+  struct Open {
+    int id;
+    double entered;
+    double saved_peak;
+  };
+
   Counters Read() const;
   // Attributes the counter delta since the last snapshot to the innermost
   // open span (dropped if none) and advances the snapshot.
   void Attribute();
+  // Appends a record named `name` under the innermost open span; -1 at the
+  // span cap.
+  int NewRecord(std::string_view name, double now);
+  void Enter(int id, double now);
+  bool IsOpen(int id) const;
+  // Closes the open spans down to and including `id`, which must be open.
+  void CloseThrough(int id, double now);
   void CloseTop(double now);
 
   // Heap-gauge scoping, routed to the thread-local block or the registry
@@ -121,8 +152,7 @@ class TraceSession {
   Gauge* heap_peak_;
 
   std::vector<SpanRecord> spans_;
-  std::vector<int> stack_;          // indices of open spans, root first
-  std::vector<double> saved_peaks_;  // outer heap peaks, parallel to stack_
+  std::vector<Open> stack_;  // open spans, root first
   Counters last_;
   double epoch_ = 0.0;
   std::size_t dropped_ = 0;
@@ -165,6 +195,42 @@ class Span {
  private:
   TraceSession* session_ = nullptr;
   int id_ = -1;
+};
+
+// The switched phases of one loop, entered by index. Each phase gets one
+// record under the span open at its first entry, reused on every later
+// entry; its counters and time accumulate over its stays. Everything the
+// loop does while a phase is current is charged to it, so a loop that
+// enters phase B after phase A, and A again after B, pays one switch per
+// change. Leave() returns to the enclosing span. All operations are no-ops
+// with a null session.
+template <std::size_t N>
+class Phases {
+ public:
+  Phases(TraceSession* session, std::array<std::string_view, N> names)
+      : session_(session), names_(names) {
+    ids_.fill(TraceSession::kNewPhase);
+  }
+  Phases(const Phases&) = delete;
+  Phases& operator=(const Phases&) = delete;
+  ~Phases() { Leave(); }
+
+  void Enter(std::size_t phase) {
+    if (session_ == nullptr) return;
+    current_ = session_->SwitchPhase(current_, ids_[phase], names_[phase]);
+    if (ids_[phase] == TraceSession::kNewPhase) ids_[phase] = current_;
+  }
+  void Leave() {
+    if (session_ == nullptr || current_ < 0) return;
+    session_->SwitchPhase(current_, -1);
+    current_ = -1;
+  }
+
+ private:
+  TraceSession* const session_;
+  const std::array<std::string_view, N> names_;
+  std::array<int, N> ids_;
+  int current_ = -1;
 };
 
 // The session currently tracing the calling thread's query, or null.

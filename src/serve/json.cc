@@ -1,7 +1,7 @@
 #include "serve/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -414,14 +414,16 @@ void AppendJsonString(std::string* out, std::string_view s) {
 void AppendJsonNumber(std::string* out, double value) {
   MSQ_CHECK(std::isfinite(value));
   char buf[32];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
+  std::to_chars_result written;
+  if (std::fabs(value) < 1e15 && value == std::trunc(value)) {
+    written = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(value));
   } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    // The shortest text that parses back to the same double.
+    written = std::to_chars(buf, buf + sizeof(buf), value);
   }
-  out->append(buf);
+  MSQ_CHECK(written.ec == std::errc());
+  out->append(buf, written.ptr);
 }
 
 }  // namespace msq::serve

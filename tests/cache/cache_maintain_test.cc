@@ -189,6 +189,37 @@ TEST(CacheMaintainTest, ObjectOnChangedEdgeDropsOnlyItsSlot) {
   EXPECT_FALSE(Kept(cache, *world, kOnTop).has_value());
 }
 
+TEST(CacheMaintainTest, TrimmedRowGivesItsSlackBack) {
+  // Thirty objects behind the tight E1 grow the row to 64 slots; lengthening
+  // E1 invalidates all of them, and the row shrinks with its contents.
+  auto world = MakeWorld();
+  std::vector<ObjectId> behind;
+  for (int k = 0; k < 30; ++k) {
+    const StatusOr<ObjectId> id =
+        world->InsertObject(Location{kE2, 0.01 + 0.03 * k});
+    ASSERT_TRUE(id.ok());
+    behind.push_back(*id);
+  }
+  QueryCache cache;
+  Memoize(cache, *world, {kOnTop});
+  const std::size_t one_slot_bytes = cache.bytes();
+  Memoize(cache, *world, behind);
+  ASSERT_GT(cache.bytes(), one_slot_bytes);
+
+  Update(*world, kE1, 4.0);
+  Maintain(cache, *world);
+  for (const ObjectId id : behind) {
+    EXPECT_FALSE(Kept(cache, *world, id).has_value()) << id;
+  }
+  EXPECT_TRUE(Kept(cache, *world, kOnTop).has_value());
+  EXPECT_EQ(cache.stats().evictions, behind.size());
+  // Back to the first row size: the bytes of a one-slot entry.
+  EXPECT_EQ(cache.bytes(), one_slot_bytes);
+  // The shrunk row still takes stores.
+  Memoize(cache, *world, {kNear});
+  EXPECT_TRUE(Kept(cache, *world, kNear).has_value());
+}
+
 TEST(CacheMaintainTest, SourceOnChangedEdgeDropsTheEntry) {
   auto world = MakeWorld();
   QueryCache cache;

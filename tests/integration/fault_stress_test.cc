@@ -22,8 +22,17 @@ namespace {
 
 constexpr Algorithm kAlgorithms[] = {Algorithm::kCe, Algorithm::kEdc,
                                      Algorithm::kLbc};
-// 70 schedules x 3 algorithms = 210 fault-injected runs.
+// 70 schedules per algorithm = 210 fault-injected runs.
 constexpr std::uint64_t kScheduleCount = 70;
+
+// Per-read fault rates. Each run gets a fresh stack whose fault schedule is
+// seeded per (algorithm, schedule), so one algorithm's reads never shift
+// another's draws. A cold run reads only a handful of pages, so the rates
+// are set for about one typed error in eight runs of every algorithm (at
+// 0.01 / 0.0015 / 0.0015 on one stack per schedule, only EDC ever failed).
+constexpr double kTransientReadRate = 0.03;
+constexpr double kPersistentReadRate = 0.015;
+constexpr double kCorruptReadRate = 0.015;
 
 WorkloadConfig BaseConfig(const std::string& storage_dir) {
   WorkloadConfig config;
@@ -60,20 +69,29 @@ TEST(FaultStressTest, CorrectResultOrCleanErrorUnderRandomFaults) {
     ASSERT_FALSE(reference[Algorithm::kCe].empty());
   }
 
-  std::uint64_t clean_runs = 0, failed_runs = 0, injected_total = 0;
-  for (std::uint64_t schedule = 1; schedule <= kScheduleCount; ++schedule) {
-    WorkloadConfig config = BaseConfig(dir);
-    FaultInjectionConfig faults;
-    faults.seed = schedule;
-    // Mostly-transient mix: retries absorb many faults (identical-result
-    // runs), the rest surface as typed errors.
-    faults.transient_read_rate = 0.01;
-    faults.persistent_read_rate = 0.0015;
-    faults.corrupt_read_rate = 0.0015;
-    config.fault_injection = faults;
-    Workload workload(config);  // built with the decorators disarmed
+  // Per algorithm: runs that matched the reference, runs that failed
+  // cleanly, faults injected.
+  struct Outcomes {
+    std::uint64_t clean = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t injected = 0;
+  };
+  std::map<Algorithm, Outcomes> outcomes;
+  for (std::size_t a = 0; a < std::size(kAlgorithms); ++a) {
+    const Algorithm algorithm = kAlgorithms[a];
+    Outcomes& out = outcomes[algorithm];
+    for (std::uint64_t schedule = 1; schedule <= kScheduleCount; ++schedule) {
+      WorkloadConfig config = BaseConfig(dir);
+      FaultInjectionConfig faults;
+      faults.seed = a * kScheduleCount + schedule;
+      // Mostly-transient mix: retries absorb many faults (identical-result
+      // runs), the rest surface as typed errors.
+      faults.transient_read_rate = kTransientReadRate;
+      faults.persistent_read_rate = kPersistentReadRate;
+      faults.corrupt_read_rate = kCorruptReadRate;
+      config.fault_injection = faults;
+      Workload workload(config);  // built with the decorators disarmed
 
-    for (const Algorithm algorithm : kAlgorithms) {
       workload.ResetBuffers();
       workload.graph_faults()->Arm();
       workload.index_faults()->Arm();
@@ -85,31 +103,34 @@ TEST(FaultStressTest, CorrectResultOrCleanErrorUnderRandomFaults) {
         EXPECT_FALSE(result.truncated);
         EXPECT_EQ(testing::SkylineIds(result), reference[algorithm])
             << AlgorithmName(algorithm) << " schedule " << schedule;
-        ++clean_runs;
+        ++out.clean;
       } else {
         EXPECT_TRUE(IsStorageError(result.status.code()))
             << AlgorithmName(algorithm) << " schedule " << schedule << ": "
             << result.status.ToString();
         EXPECT_TRUE(result.skyline.empty());
-        ++failed_runs;
+        ++out.failed;
       }
-    }
-    injected_total += workload.graph_faults()->fault_stats().total() +
+      out.injected += workload.graph_faults()->fault_stats().total() +
                       workload.index_faults()->fault_stats().total();
+    }
   }
 
-  // The sweep must genuinely exercise both outcomes, or the rates are
-  // mis-tuned and the suite is vacuous.
-  EXPECT_GT(injected_total, 0u);
-  EXPECT_GT(clean_runs, 0u);
-  EXPECT_GT(failed_runs, 0u);
-  EXPECT_EQ(clean_runs + failed_runs,
-            kScheduleCount * std::size(kAlgorithms));
+  // Every algorithm's sweep must genuinely exercise both outcomes, or its
+  // rates are mis-tuned and the suite is vacuous for it.
+  for (const Algorithm algorithm : kAlgorithms) {
+    const Outcomes& out = outcomes[algorithm];
+    EXPECT_GT(out.injected, 0u) << AlgorithmName(algorithm);
+    EXPECT_GT(out.clean, 0u) << AlgorithmName(algorithm);
+    EXPECT_GT(out.failed, 0u) << AlgorithmName(algorithm);
+    EXPECT_EQ(out.clean + out.failed, kScheduleCount)
+        << AlgorithmName(algorithm);
+  }
 
-  // The random rates need not fail every algorithm, so script one
-  // schedule that does: persistent graph read errors must surface as a
-  // typed storage error with an empty skyline, and the stack must answer
-  // the reference once the scripted faults are spent. A run aborts at its
+  // A scripted schedule pins both the failure and the recovery for every
+  // algorithm: persistent graph read errors must surface as a typed
+  // storage error with an empty skyline, and the stack must answer the
+  // reference once the scripted faults are spent. A run aborts at its
   // first fault, so leftovers can survive it; every failing retry drains
   // at least one, bounding the loop.
   {

@@ -265,6 +265,78 @@ TEST(TraceSessionTest, GaugePeakIsScopedPerSpan) {
   EXPECT_DOUBLE_EQ(profile.spans[0].heap_peak, 7.0);
 }
 
+TEST(TraceSessionTest, SwitchedPhasesKeepOneRecordPerPhase) {
+  MetricsRegistry registry;
+  Counter* settled = registry.counter(metric::kSettledNodes);
+  Gauge* heap = registry.gauge(metric::kHeapPeak);
+  TraceSession session(&registry);
+
+  const int root = session.OpenSpan("root");
+  {
+    Phases<2> phases(&session, {"a", "b"});
+    for (int i = 0; i < 100; ++i) {
+      phases.Enter(0);
+      settled->Inc(1);
+      phases.Enter(1);
+      settled->Inc(2);
+      if (i == 50) {
+        heap->Update(9.0);
+        heap->Update(0.0);
+      }
+      // A span opened inside a phase nests under it.
+      if (i == 7) Span(&session, "inner");
+      phases.Leave();
+      settled->Inc(3);  // between candidates: the root's own work
+    }
+  }  // phases leave nothing open
+  EXPECT_EQ(session.open_depth(), 1u);
+  session.CloseSpan(root);
+
+  const QueryProfile profile = session.Take();
+  ASSERT_EQ(profile.spans.size(), 4u);
+  EXPECT_EQ(profile.spans[1].name, "a");
+  EXPECT_EQ(profile.spans[2].name, "b");
+  EXPECT_EQ(profile.spans[3].name, "inner");
+  EXPECT_EQ(profile.spans[1].parent, 0);
+  EXPECT_EQ(profile.spans[2].parent, 0);
+  EXPECT_EQ(profile.spans[3].parent, 2);
+  EXPECT_EQ(profile.spans[1].depth, 1);
+  EXPECT_EQ(profile.spans[1].self.settled_nodes, 100u);
+  EXPECT_EQ(profile.spans[2].self.settled_nodes, 200u);
+  EXPECT_EQ(profile.spans[0].self.settled_nodes, 300u);
+  EXPECT_EQ(profile.TotalCounters().settled_nodes, 600u);
+  EXPECT_DOUBLE_EQ(profile.spans[2].heap_peak, 9.0);
+  EXPECT_DOUBLE_EQ(profile.spans[1].heap_peak, 0.0);
+  EXPECT_DOUBLE_EQ(profile.spans[0].heap_peak, 9.0);
+  // Phase time is the sum of the stays, and stays inside the root.
+  const double phases_seconds = profile.spans[1].duration_seconds() +
+                                profile.spans[2].duration_seconds();
+  EXPECT_GE(profile.spans[1].duration_seconds(), 0.0);
+  EXPECT_NEAR(profile.spans[0].child_seconds, phases_seconds, 1e-9);
+  EXPECT_LE(phases_seconds, profile.spans[0].duration_seconds() + 1e-9);
+}
+
+TEST(TraceSessionTest, PhaseForceClosedByItsParentIsLeftQuietly) {
+  MetricsRegistry registry;
+  Counter* settled = registry.counter(metric::kSettledNodes);
+  TraceSession session(&registry);
+  const int root = session.OpenSpan("root");
+  Phases<1> phases(&session, {"a"});
+  phases.Enter(0);
+  settled->Inc(4);
+  session.CloseSpan(root);  // closes the phase first
+  EXPECT_TRUE(session.idle());
+  phases.Leave();  // no-op: nothing reopened, nothing re-attributed
+  EXPECT_TRUE(session.idle());
+  const QueryProfile profile = session.Take();
+  ASSERT_EQ(profile.spans.size(), 2u);
+  EXPECT_EQ(profile.spans[1].self.settled_nodes, 4u);
+
+  Phases<1> untraced(nullptr, {"a"});
+  untraced.Enter(0);  // null session: no-op
+  untraced.Leave();
+}
+
 TEST(SpanTest, NullSessionIsNoOp) {
   Span null_span(nullptr, "ignored");
   null_span.Close();  // must not crash

@@ -2,6 +2,7 @@
 // the query's top-level QueryStats for every traced algorithm, and the
 // Chrome trace export must be valid JSON.
 #include <cctype>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -250,6 +251,40 @@ TEST(ProfileReconcileTest, ChromeTraceOfCeQueryIsValidJson) {
     EXPECT_TRUE(JsonValidator(line).Valid()) << line;
     start = end + 1;
   }
+}
+
+// LBC's filter/confirm loop runs once per candidate, but its phases are
+// switched, not opened: the profile holds one record per phase however many
+// candidates there are, and still reconciles exactly.
+TEST(ProfileReconcileTest, LbcSpanCountIsBoundedByPhasesNotCandidates) {
+  auto workload = testing::MakeRandomWorkload(600, 780, 1.0, 17);
+  SkylineQuerySpec spec = workload->SampleQuery(6, 23, 0.5);
+  obs::TraceSession trace;
+  obs::PlanCollector collector;
+  spec.trace = &trace;
+  spec.plan = &collector;
+  workload->ResetBuffers();
+  const SkylineResult result =
+      RunSkylineQuery(Algorithm::kLbc, workload->dataset(), spec);
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_TRUE(result.profile.has_value());
+  ASSERT_GE(result.stats.candidate_count, 100u);
+  const obs::QueryProfile& profile = *result.profile;
+  // lbc, lbc.filter, lbc.confirm, lbc.finalize.
+  EXPECT_LE(profile.spans.size(), 4u);
+  std::set<std::string> names;
+  for (const obs::SpanRecord& span : profile.spans) {
+    EXPECT_TRUE(names.insert(span.name).second) << span.name;
+  }
+  EXPECT_EQ(names.count("lbc.filter"), 1u);
+  EXPECT_EQ(names.count("lbc.confirm"), 1u);
+  EXPECT_EQ(obs::ReconcileProfile(profile, result.stats), "");
+  // The plan's phases are those records, still partitioning the totals.
+  const obs::ExecutionPlan plan =
+      obs::BuildExecutionPlan("lbc", result.stats, &profile, &collector,
+                             false);
+  EXPECT_EQ(plan.phases.size(), profile.spans.size());
+  EXPECT_EQ(obs::ReconcilePlan(plan, result.stats), "");
 }
 
 TEST(ProfileReconcileTest, ProfileReportAggregatesPhases) {

@@ -3,7 +3,12 @@
 // serving layer imposes; every acceptance case checks the parsed value,
 // not just the ok() bit.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,8 +163,61 @@ TEST(JsonTest, AppendJsonNumberForms) {
   AppendJsonNumber(&out, 0.25);
   EXPECT_DOUBLE_EQ(P(out).value().AsNumber(), 0.25);
   out.clear();
-  AppendJsonNumber(&out, 1.0 / 3.0);  // round-trips at %.17g
-  EXPECT_DOUBLE_EQ(P(out).value().AsNumber(), 1.0 / 3.0);
+  AppendJsonNumber(&out, 1.0 / 3.0);
+  EXPECT_EQ(out, "0.3333333333333333");  // shortest, not %.17g's 17 digits
+  out.clear();
+  AppendJsonNumber(&out, -0.0);
+  EXPECT_EQ(out, "0");
+  out.clear();
+  AppendJsonNumber(&out, 1e15);  // past the integer branch
+  EXPECT_EQ(out, "1e+15");
+}
+
+// Bit-for-bit, not within an ulp: every double the encoder writes parses
+// back to the same 64 bits, over random bit patterns (subnormals included)
+// and the values replies carry most.
+TEST(JsonTest, AppendJsonNumberRoundTripsBitForBit) {
+  std::vector<double> values = {1.0 / 3.0,
+                                0.1,
+                                2.0 / 3.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::nextafter(1.0, 2.0),
+                                -1e-310,
+                                123456789.125,
+                                9007199254740993.0};
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+    // Subnormals: exponent bits cleared.
+    const std::uint64_t sub = bits & 0x800fffffffffffffULL;
+    std::memcpy(&value, &sub, sizeof(value));
+    values.push_back(value);
+  }
+  int subnormals = 0;
+  for (const double value : values) {
+    if (std::fpclassify(value) == FP_SUBNORMAL) ++subnormals;
+    std::string out;
+    AppendJsonNumber(&out, value);
+    const StatusOr<JsonValue> parsed = P(out);
+    ASSERT_TRUE(parsed.ok()) << out;
+    const double back = parsed.value().AsNumber();
+    std::uint64_t want;
+    std::uint64_t got;
+    std::memcpy(&want, &value, sizeof(want));
+    std::memcpy(&got, &back, sizeof(got));
+    // -0.0 is written as the integer 0.
+    if (value == 0.0) {
+      EXPECT_EQ(back, 0.0) << out;
+    } else {
+      EXPECT_EQ(got, want) << out;
+    }
+  }
+  EXPECT_GT(subnormals, 10000);
 }
 
 }  // namespace
